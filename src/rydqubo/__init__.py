@@ -30,17 +30,12 @@ from .compiler import (
     AtomGraph,
     AtomRole,
     DataCopy,
-    Gadget,
     InconsistentCopies,
     Offset,
     Parity,
     WireAtom,
     WireDescriptor,
     WireLengthPolicy,
-    build_data_qubit,
-    build_even_wire,
-    build_odd_wire,
-    build_offset,
     compile_qubo,
     decode,
     effective_linear,
@@ -83,14 +78,12 @@ from .sim import (
     PulseSchedule,
     StateDistribution,
     af_predicate,
-    apply_hamiltonian,
     build_hamiltonian,
     diagonal_energy,
     evolve,
     measure_distribution,
     postselect,
     sample_distribution,
-    schedule_value,
 )
 
 __version__ = "0.1.0"

@@ -8,21 +8,22 @@ defaults to seed 0, never to entropy.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .compiler import (
+    DEFAULT_MAX_ATOMS,
     WireLengthPolicy,
     compile_qubo,
     graph_from_dict,
     graph_to_dict,
     try_decode,
 )
-from .errors import CapExceeded, InputError, RydquboError
+from .errors import CapExceeded, RydquboError
 from .geometry import (
+    DEFAULT_C6,
     Layout,
     PhysicalParams,
     layout_from_csv,
@@ -30,8 +31,10 @@ from .geometry import (
     load_builtin_layout,
     validate_unit_disk,
 )
-from .qubo import qubo_from_dict
+from .qubo import DEFAULT_BRUTE_FORCE_CAP, qubo_from_dict
 from .sim import (
+    DEFAULT_SIM_CAP,
+    DEFAULT_STEPS,
     HamiltonianMode,
     PulseSchedule,
     af_predicate,
@@ -41,21 +44,11 @@ from .sim import (
     postselect,
     sample_distribution,
 )
-from .solver import certify_equivalence
+from .solver import DEFAULT_ENUM_CAP, certify_equivalence
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
 def _fail(code: int, message: str) -> "click.exceptions.Exit":
@@ -64,73 +57,61 @@ def _fail(code: int, message: str) -> "click.exceptions.Exit":
 
 
 def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise _fail(EXIT_INPUT, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _fail(EXIT_INPUT, f"{path} is not valid JSON: {exc}")
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
-def _load_qubo(path: str):
-    try:
-        return qubo_from_dict(_read_json(path))
-    except CapExceeded as exc:
-        raise _fail(EXIT_CAP, str(exc))
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
+def _read_layout(path: str) -> Layout:
+    if path.lower().endswith(".csv"):
+        return layout_from_csv(Path(path).read_text(encoding="utf-8"))
+    return layout_from_dict(_read_json(path))
 
 
-def _load_graph(path: str):
-    try:
-        return graph_from_dict(_read_json(path))
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
+class _Main(click.Group):
+    """The command group, plus the one place errors become exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CapExceeded as exc:
+            raise _fail(EXIT_CAP, str(exc))
+        except json.JSONDecodeError as exc:
+            raise _fail(EXIT_INPUT, f"invalid JSON: {exc}")
+        except (RydquboError, OSError) as exc:
+            raise _fail(EXIT_INPUT, str(exc))
 
 
-def _load_layout(path: str) -> Layout:
-    try:
-        if path.lower().endswith(".csv"):
-            return layout_from_csv(Path(path).read_text(encoding="utf-8"))
-        return layout_from_dict(_read_json(path))
-    except OSError as exc:
-        raise _fail(EXIT_INPUT, f"cannot read {path}: {exc}")
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
-
-
-def _load_builtin(name: str):
-    try:
-        return load_builtin_layout(name)
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="rydqubo")
 def main() -> None:
     """QUBO-to-atom-graph compiler, verifier, and simulator."""
 
 
+def _compile_options(command):
+    """Options shared by every command that compiles a QUBO."""
+    options = (
+        click.option("--wire-even-len", default=2, show_default=True,
+                     help="Atoms per positive coupling chain."),
+        click.option("--wire-odd-len", default=1, show_default=True,
+                     help="Atoms per negative coupling chain."),
+        click.option("--max-atoms", envvar="RYDQUBO_MAX_ATOMS", default=DEFAULT_MAX_ATOMS,
+                     type=int, show_default=True, show_envvar=True, help="Atom budget."),
+    )
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
 @main.command("compile")
 @click.argument("qubo_path", metavar="QUBO_JSON")
 @click.option("-o", "--output", default="graph.json", show_default=True, help="Graph output path.")
-@click.option("--wire-even-len", default=2, show_default=True, help="Atoms per positive coupling chain.")
-@click.option("--wire-odd-len", default=1, show_default=True, help="Atoms per negative coupling chain.")
-@click.option("--max-atoms", default=None, type=int, help="Atom budget (env RYDQUBO_MAX_ATOMS).")
+@_compile_options
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary to stdout.")
 def cmd_compile(qubo_path, output, wire_even_len, wire_odd_len, max_atoms, as_json) -> None:
     """Translate QUBO_JSON into an atom graph."""
-    q = _load_qubo(qubo_path)
-    cap = max_atoms if max_atoms is not None else _env_cap("RYDQUBO_MAX_ATOMS", 5000)
-    try:
-        policy = WireLengthPolicy(even_atoms=wire_even_len, odd_atoms=wire_odd_len)
-        graph = compile_qubo(q, policy=policy, max_atoms=cap)
-    except CapExceeded as exc:
-        raise _fail(EXIT_CAP, str(exc))
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
+    q = qubo_from_dict(_read_json(qubo_path))
+    policy = WireLengthPolicy(even_atoms=wire_even_len, odd_atoms=wire_odd_len)
+    graph = compile_qubo(q, policy=policy, max_atoms=max_atoms)
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(graph_to_dict(graph), handle, indent=2)
         handle.write("\n")
@@ -154,31 +135,25 @@ def cmd_compile(qubo_path, output, wire_even_len, wire_odd_len, max_atoms, as_js
 @click.argument("qubo_path", metavar="QUBO_JSON")
 @click.argument("graph_path", metavar="[GRAPH_JSON]", required=False)
 @click.option("-o", "--output", default=None, help="Write the certificate report as JSON.")
-@click.option("--wire-even-len", default=2, show_default=True)
-@click.option("--wire-odd-len", default=1, show_default=True)
-@click.option("--enum-cap", default=None, type=int, help="Ground-set search cap (env RYDQUBO_ENUM_CAP).")
-@click.option("--brute-cap", default=None, type=int, help="Oracle enumeration cap (env RYDQUBO_BRUTE_CAP).")
+@_compile_options
+@click.option("--enum-cap", envvar="RYDQUBO_ENUM_CAP", default=DEFAULT_ENUM_CAP, type=int,
+              show_default=True, show_envvar=True, help="Ground-set search cap.")
+@click.option("--brute-cap", envvar="RYDQUBO_BRUTE_CAP", default=DEFAULT_BRUTE_FORCE_CAP, type=int,
+              show_default=True, show_envvar=True, help="Oracle enumeration cap.")
 @click.option("--json", "as_json", is_flag=True, help="Print the report JSON to stdout.")
-def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, enum_cap, brute_cap, as_json) -> None:
+def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, max_atoms, enum_cap, brute_cap, as_json) -> None:
     """Check ground-state equivalence between QUBO_JSON and a graph.
 
     Without GRAPH_JSON the instance is compiled first. Exit 0 iff the
     decoded ground set equals the brute-force argmin set.
     """
-    q = _load_qubo(qubo_path)
-    enum_cap = enum_cap if enum_cap is not None else _env_cap("RYDQUBO_ENUM_CAP", 30)
-    brute_cap = brute_cap if brute_cap is not None else _env_cap("RYDQUBO_BRUTE_CAP", 24)
-    try:
-        if graph_path is None:
-            policy = WireLengthPolicy(even_atoms=wire_even_len, odd_atoms=wire_odd_len)
-            graph = compile_qubo(q, policy=policy)
-        else:
-            graph = _load_graph(graph_path)
-        report = certify_equivalence(q, graph, enum_cap=enum_cap, brute_cap=brute_cap)
-    except CapExceeded as exc:
-        raise _fail(EXIT_CAP, str(exc))
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
+    q = qubo_from_dict(_read_json(qubo_path))
+    if graph_path is None:
+        policy = WireLengthPolicy(even_atoms=wire_even_len, odd_atoms=wire_odd_len)
+        graph = compile_qubo(q, policy=policy, max_atoms=max_atoms)
+    else:
+        graph = graph_from_dict(_read_json(graph_path))
+    report = certify_equivalence(q, graph, enum_cap=enum_cap, brute_cap=brute_cap)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -206,7 +181,7 @@ def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, enum
 @click.option("--builtin", default=None, help="Validate a bundled layout instead of files.")
 @click.option("--margin", default=0.0, show_default=True, help="Extra non-edge clearance fraction.")
 @click.option("--d-r", default=None, type=float, help="Override the blockade radius in um.")
-@click.option("--c6", default=1023e3, show_default=True)
+@click.option("--c6", default=DEFAULT_C6, show_default=True)
 @click.option("--omega", default=0.0, show_default=True)
 @click.option("--delta", default=5.0, show_default=True)
 @click.option("-o", "--output", default=None, help="Write the validation report as JSON.")
@@ -214,17 +189,14 @@ def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, enum
 def cmd_validate(graph_path, layout_path, builtin, margin, d_r, c6, omega, delta, output, as_json) -> None:
     """Check a layout against the blockade disk rule. Exit 0 iff valid."""
     if builtin:
-        graph, layout = _load_builtin(builtin)
+        graph, layout = load_builtin_layout(builtin)
     else:
         if not graph_path or not layout_path:
             raise _fail(EXIT_INPUT, "provide GRAPH_JSON and LAYOUT_JSON_OR_CSV, or use --builtin")
-        graph = _load_graph(graph_path)
-        layout = _load_layout(layout_path)
-    try:
-        params = PhysicalParams(c6=c6, omega=omega, delta=delta)
-        report = validate_unit_disk(graph, layout, params, margin=margin, d_r=d_r)
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
+        graph = graph_from_dict(_read_json(graph_path))
+        layout = _read_layout(layout_path)
+    params = PhysicalParams(c6=c6, omega=omega, delta=delta)
+    report = validate_unit_disk(graph, layout, params, margin=margin, d_r=d_r)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -254,7 +226,7 @@ def cmd_validate(graph_path, layout_path, builtin, margin, d_r, c6, omega, delta
 @click.argument("layout_path", metavar="[LAYOUT_JSON_OR_CSV]", required=False)
 @click.option("--builtin", default=None, help="Simulate a bundled graph (e.g. G3).")
 @click.option("--mode", type=click.Choice(["ideal", "vdw"]), default="ideal", show_default=True)
-@click.option("--steps", default=4000, show_default=True)
+@click.option("--steps", default=DEFAULT_STEPS, show_default=True)
 @click.option("--time", "total_time", default=2.5, show_default=True, help="Sweep duration in us.")
 @click.option("--omega0", default=0.96, show_default=True)
 @click.option("--delta-i", default=-4.0, show_default=True)
@@ -263,7 +235,8 @@ def cmd_validate(graph_path, layout_path, builtin, margin, d_r, c6, omega, delta
 @click.option("--postselect-af", is_flag=True, help="Keep only alternation-satisfying outcomes.")
 @click.option("--shots", default=None, type=int, help="Sample the distribution instead of exact output.")
 @click.option("--seed", default=0, show_default=True, help="Seed for sampling.")
-@click.option("--cap", default=None, type=int, help="Atom cap (env RYDQUBO_SIM_CAP).")
+@click.option("--cap", envvar="RYDQUBO_SIM_CAP", default=DEFAULT_SIM_CAP, type=int,
+              show_default=True, show_envvar=True, help="Atom cap.")
 @click.option("-o", "--output", default="dist.csv", show_default=True, help="CSV output path.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary to stdout.")
 def cmd_simulate(
@@ -273,31 +246,23 @@ def cmd_simulate(
     """Integrate the sweep and write the final distribution, sorted by weight."""
     layout = None
     if builtin:
-        graph, layout = _load_builtin(builtin)
+        graph, layout = load_builtin_layout(builtin)
     else:
         if not graph_path:
             raise _fail(EXIT_INPUT, "provide GRAPH_JSON or use --builtin")
-        graph = _load_graph(graph_path)
+        graph = graph_from_dict(_read_json(graph_path))
         if layout_path:
-            layout = _load_layout(layout_path)
-    cap = cap if cap is not None else _env_cap("RYDQUBO_SIM_CAP", 16)
-    try:
-        schedule = PulseSchedule(
-            total_time=total_time, omega0=omega0, delta_i=delta_i, delta_f=delta_f
-        )
-        params = PhysicalParams(omega=omega0, delta=delta_f)
-        ham_mode = HamiltonianMode.IDEAL_BLOCKADE if mode == "ideal" else HamiltonianMode.FULL_VDW
-        spec = build_hamiltonian(graph, params=params, mode=ham_mode, layout=layout, u0=u0)
-        state = evolve(spec, schedule, steps=steps, cap=cap)
-        dist = measure_distribution(state, atom_labels=graph.labels)
-        if postselect_af:
-            dist = postselect(dist, af_predicate(graph))
-        if shots is not None:
-            dist = sample_distribution(dist, shots=shots, seed=seed)
-    except CapExceeded as exc:
-        raise _fail(EXIT_CAP, str(exc))
-    except RydquboError as exc:
-        raise _fail(EXIT_INPUT, str(exc))
+            layout = _read_layout(layout_path)
+    schedule = PulseSchedule(total_time=total_time, omega0=omega0, delta_i=delta_i, delta_f=delta_f)
+    params = PhysicalParams(omega=omega0, delta=delta_f)
+    ham_mode = HamiltonianMode.IDEAL_BLOCKADE if mode == "ideal" else HamiltonianMode.FULL_VDW
+    spec = build_hamiltonian(graph, params=params, mode=ham_mode, layout=layout, u0=u0)
+    state = evolve(spec, schedule, steps=steps, cap=cap)
+    dist = measure_distribution(state, atom_labels=graph.labels)
+    if postselect_af:
+        dist = postselect(dist, af_predicate(graph))
+    if shots is not None:
+        dist = sample_distribution(dist, shots=shots, seed=seed)
     with open(output, "w", encoding="utf-8") as handle:
         handle.write(dist.to_csv())
     top_bits, top_prob = dist.top(1)[0]

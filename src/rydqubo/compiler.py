@@ -81,29 +81,17 @@ class WireDescriptor:
     length: int
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """A detached fragment: local roles and edges plus attachment ports.
-
-    ``first_port``/``last_port`` list local atom indices that the assembler
-    must connect to every data copy of the first/second endpoint variable
-    (for offsets, the single port attaches to the variable's data atom).
-    """
-
-    roles: tuple[AtomRole, ...]
-    edges: tuple[tuple[int, int], ...]
-    first_port: tuple[int, ...]
-    last_port: tuple[int, ...]
-
-
-def _default_label(role: AtomRole) -> str:
+def _default_label(role: AtomRole, indexed: bool = True) -> str:
+    """``x1^(2)``-style label; ``indexed=False`` drops the ``^(k)`` suffix."""
     if isinstance(role, DataCopy):
-        return f"x{role.var + 1}^({role.copy_index})"
-    if isinstance(role, Offset):
-        return f"a{role.var + 1}^({role.offset_index})"
-    if isinstance(role, WireAtom):
-        return f"W{role.wire + 1}^({role.chain_position})"
-    return f"W~{role.wire + 1}^({role.chain_position})"
+        stem, index = f"x{role.var + 1}", role.copy_index
+    elif isinstance(role, Offset):
+        stem, index = f"a{role.var + 1}", role.offset_index
+    elif isinstance(role, WireAtom):
+        stem, index = f"W{role.wire + 1}", role.chain_position
+    else:
+        stem, index = f"W~{role.wire + 1}", role.chain_position
+    return f"{stem}^({index})" if indexed else stem
 
 
 class AtomGraph:
@@ -362,6 +350,19 @@ def graph_to_dict(graph: AtomGraph) -> dict:
     }
 
 
+def wire_from_dict(data: Mapping) -> WireDescriptor:
+    """Parse one wire descriptor; endpoints are 1-based in this format."""
+    try:
+        return WireDescriptor(
+            wire=int(data["id"]),
+            endpoints=(int(data["i"]) - 1, int(data["j"]) - 1),
+            parity=Parity(data["parity"]),
+            length=int(data["length"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed wire descriptor: {data!r}") from exc
+
+
 def graph_from_dict(data: Mapping) -> AtomGraph:
     if not isinstance(data, Mapping):
         raise InputError("graph document must be an object")
@@ -371,27 +372,18 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
         wire_entries = list(data.get("wires", []))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
+    for entry in atoms:
+        if not isinstance(entry, Mapping) or "role" not in entry:
+            raise InputError(f"atom entry {entry!r} must be an object with a 'role'")
     ids = [entry.get("id") for entry in atoms]
-    if sorted(ids) != list(range(len(atoms))):
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(atoms))):
         raise InputError("atom ids must be exactly 0..N-1")
     ordered = sorted(atoms, key=lambda entry: entry["id"])
     roles = [role_from_dict(entry["role"]) for entry in ordered]
     labels = [entry.get("label", "") for entry in ordered]
     if any(not lbl for lbl in labels):
         labels = None  # regenerate defaults rather than accept blanks
-    wires = []
-    for entry in wire_entries:
-        try:
-            wires.append(
-                WireDescriptor(
-                    wire=int(entry["id"]),
-                    endpoints=(int(entry["i"]) - 1, int(entry["j"]) - 1),
-                    parity=Parity(entry["parity"]),
-                    length=int(entry["length"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed wire descriptor: {entry!r}") from exc
+    wires = [wire_from_dict(entry) for entry in wire_entries]
     source = data.get("source")
     q = qubo_from_dict(source) if source is not None else None
     try:
@@ -403,7 +395,7 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
 
 
 # ----------------------------------------------------------------------
-# Gadget construction
+# Compilation
 # ----------------------------------------------------------------------
 
 
@@ -421,46 +413,6 @@ def effective_linear(q: QuboInstance, var: int) -> int:
         if w < 0 and (i == var or j == var):
             target -= abs(w)
     return target
-
-
-def build_data_qubit(var: int, count: int) -> Gadget:
-    """``count`` mutually non-adjacent copies of one variable (coefficient -count)."""
-    if count < 1:
-        raise InputError(f"data gadget needs count >= 1, got {count}")
-    roles = tuple(DataCopy(var=var, copy_index=k) for k in range(1, count + 1))
-    return Gadget(roles=roles, edges=(), first_port=(), last_port=())
-
-
-def build_offset(var: int, count: int) -> Gadget:
-    """``count`` offset atoms for a single-copy variable (coefficient count - 1).
-
-    The port lists every offset; the assembler attaches each to the
-    variable's unique data atom.
-    """
-    if count < 1:
-        raise InputError(f"offset gadget needs count >= 1, got {count}")
-    roles = tuple(Offset(var=var, offset_index=k) for k in range(1, count + 1))
-    return Gadget(roles=roles, edges=(), first_port=tuple(range(count)), last_port=())
-
-
-def build_even_wire(i: int, j: int, m: int, wire_id: int = 0) -> Gadget:
-    """Chain of 2m atoms realising one unit of +x_i*x_j."""
-    if m < 1:
-        raise InputError(f"even wire needs m >= 1, got {m}")
-    length = 2 * m
-    roles = tuple(WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1))
-    edges = tuple((p, p + 1) for p in range(length - 1))
-    return Gadget(roles=roles, edges=edges, first_port=(0,), last_port=(length - 1,))
-
-
-def build_odd_wire(i: int, j: int, m: int, wire_id: int = 0) -> Gadget:
-    """Chain of 2m+1 atoms realising x_i + x_j - x_i*x_j."""
-    if m < 0:
-        raise InputError(f"odd wire needs m >= 0, got {m}")
-    length = 2 * m + 1
-    roles = tuple(WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1))
-    edges = tuple((p, p + 1) for p in range(length - 1))
-    return Gadget(roles=roles, edges=edges, first_port=(0,), last_port=(length - 1,))
 
 
 @dataclass(frozen=True)
@@ -518,70 +470,38 @@ def compile_qubo(
     labels: list[str] = []
     edges: set[tuple[int, int]] = set()
 
-    def place(gadget: Gadget, label_maker) -> int:
+    def add(group: list[AtomRole]) -> list[int]:
+        """Append one gadget's atoms; a one-atom gadget gets an unindexed label."""
         base = len(roles)
-        for k, role in enumerate(gadget.roles):
-            roles.append(role)
-            labels.append(label_maker(role, k))
-        for a, b in gadget.edges:
-            edges.add((base + a, base + b))
-        return base
+        roles.extend(group)
+        labels.extend(_default_label(role, indexed=len(group) > 1) for role in group)
+        return list(range(base, base + len(group)))
 
     copies: dict[int, list[int]] = {}
     for v in range(q.n):
         target = effective_linear(q, v)
         if target < 0:
-            count = -target
-            gadget = build_data_qubit(v, count)
-            base = place(
-                gadget,
-                lambda role, k, c=count: (
-                    f"x{role.var + 1}^({role.copy_index})" if c > 1 else f"x{role.var + 1}"
-                ),
-            )
-            copies[v] = list(range(base, base + count))
+            copies[v] = add([DataCopy(var=v, copy_index=k) for k in range(1, 1 - target)])
         else:
-            data = build_data_qubit(v, 1)
-            base = place(data, lambda role, k: f"x{role.var + 1}")
-            copies[v] = [base]
-            offs = build_offset(v, target + 1)
-            off_base = place(
-                offs,
-                lambda role, k, c=target + 1: (
-                    f"a{role.var + 1}^({role.offset_index})" if c > 1 else f"a{role.var + 1}"
-                ),
-            )
-            for local in offs.first_port:
-                edges.add((base, off_base + local))
+            copies[v] = add([DataCopy(var=v, copy_index=1)])
+            offsets = add([Offset(var=v, offset_index=k) for k in range(1, target + 2)])
+            edges.update((copies[v][0], atom) for atom in offsets)
 
     wires: list[WireDescriptor] = []
-    wire_id = 0
     for (i, j), weight in sorted(q.quadratic.items()):
+        parity, length = (
+            (Parity.EVEN, policy.even_atoms) if weight > 0 else (Parity.ODD, policy.odd_atoms)
+        )
         for _ in range(abs(weight)):
-            if weight > 0:
-                gadget = build_even_wire(i, j, policy.even_atoms // 2, wire_id=wire_id)
-                parity = Parity.EVEN
-                length = policy.even_atoms
-            else:
-                gadget = build_odd_wire(i, j, (policy.odd_atoms - 1) // 2, wire_id=wire_id)
-                parity = Parity.ODD
-                length = policy.odd_atoms
-            base = place(
-                gadget,
-                lambda role, k, ln=length: (
-                    f"W{role.wire + 1}^({role.chain_position})" if ln > 1 else f"W{role.wire + 1}"
-                ),
-            )
-            for local in gadget.first_port:
-                for copy in copies[i]:
-                    edges.add((copy, base + local))
-            for local in gadget.last_port:
-                for copy in copies[j]:
-                    edges.add((copy, base + local))
+            # Even and odd units are the same chain; only the length differs.
+            wire_id = len(wires)
+            chain = add([WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1)])
+            edges.update(zip(chain, chain[1:]))
+            edges.update((copy, chain[0]) for copy in copies[i])
+            edges.update((copy, chain[-1]) for copy in copies[j])
             wires.append(
                 WireDescriptor(wire=wire_id, endpoints=(i, j), parity=parity, length=length)
             )
-            wire_id += 1
 
     return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
 

@@ -15,12 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .compiler import (
-    AtomGraph,
-    Parity,
-    WireDescriptor,
-    role_from_dict,
-)
+from .compiler import AtomGraph, role_from_dict, wire_from_dict
 from .errors import InputError
 from .qubo import qubo_from_dict
 
@@ -67,9 +62,12 @@ class Layout:
         for atom, pos in dict(self.positions).items():
             try:
                 x, y = pos
+                x, y = float(x), float(y)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"position of atom {atom!r} is not an (x, y) pair") from exc
-            cleaned[int(atom)] = (float(x), float(y))
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"position of atom {atom!r} is not finite: {pos!r}")
+            cleaned[int(atom)] = (x, y)
         self.positions = cleaned
 
     def distance(self, a: int, b: int) -> float:
@@ -285,15 +283,7 @@ def load_builtin_layout(name: str) -> tuple[AtomGraph, Layout]:
             d = math.dist(positions[a], positions[b])
             if d <= radius + 1e-9:
                 edges.add((a, b))
-    wires = [
-        WireDescriptor(
-            wire=int(w["id"]),
-            endpoints=(int(w["i"]) - 1, int(w["j"]) - 1),
-            parity=Parity(w["parity"]),
-            length=int(w["length"]),
-        )
-        for w in entry.get("wires", [])
-    ]
+    wires = [wire_from_dict(w) for w in entry.get("wires", [])]
     source = qubo_from_dict(entry["qubo"]) if entry.get("qubo") else None
     graph = AtomGraph(roles, edges, wires=wires, source=source, labels=labels)
     return graph, Layout(positions)

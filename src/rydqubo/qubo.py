@@ -21,8 +21,9 @@ Assignment = tuple[int, ...]
 INT64_MAX = 2**63 - 1
 DEFAULT_BRUTE_FORCE_CAP = 24
 
-# Chunk size for vectorised enumeration; keeps peak memory around a few MB.
-_ENUM_CHUNK = 1 << 18
+# Chunk size for vectorised enumeration: n int64 bit planes of this length
+# stay near ten MB at n = 24.
+ENUM_CHUNK = 1 << 16
 
 
 def _coerce_coefficient(value: object, where: str) -> int:
@@ -209,6 +210,15 @@ def normalize_to_integers(
     )
 
 
+def bit_planes(n: int, lo: int, hi: int) -> np.ndarray:
+    """Bits 0..n-1 of every index in [lo, hi): row k holds bit k, as int64.
+
+    int64 keeps products with Python-int coefficients from overflowing.
+    """
+    idx = np.arange(lo, hi, dtype=np.int64)
+    return (idx >> np.arange(n, dtype=np.int64)[:, None]) & 1
+
+
 def _assignment_from_index(index: int, n: int) -> Assignment:
     return tuple((index >> i) & 1 for i in range(n))
 
@@ -231,16 +241,14 @@ def brute_force_minima(
         argmin_indices: list[int] = []
         lin_items = list(q.linear.items())
         quad_items = list(q.quadratic.items())
-        for lo in range(0, total, _ENUM_CHUNK):
-            hi = min(lo + _ENUM_CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.uint64)
+        for lo in range(0, total, ENUM_CHUNK):
+            hi = min(lo + ENUM_CHUNK, total)
+            bits = bit_planes(q.n, lo, hi)
             vals = np.zeros(hi - lo, dtype=np.int64)
             for i, c in lin_items:
-                vals += c * ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
+                vals += c * bits[i]
             for (i, j), c in quad_items:
-                bi = ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
-                bj = ((idx >> np.uint64(j)) & np.uint64(1)).astype(np.int64)
-                vals += c * (bi * bj)
+                vals += c * (bits[i] * bits[j])
             chunk_min = int(vals.min())
             if best is None or chunk_min < best:
                 best = chunk_min
@@ -290,8 +298,11 @@ def qubo_from_dict(data: Mapping) -> QuboInstance:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"'n' must be a positive integer, got {n!r}")
 
+    raw_linear = data.get("linear", {})
+    if not isinstance(raw_linear, Mapping):
+        raise InputError("'linear' must be an object mapping indices to coefficients")
     linear: dict[int, int] = {}
-    for key, value in dict(data.get("linear", {})).items():
+    for key, value in raw_linear.items():
         try:
             i = int(key)
         except (TypeError, ValueError) as exc:
@@ -302,7 +313,7 @@ def qubo_from_dict(data: Mapping) -> QuboInstance:
 
     quadratic: dict[tuple[int, int], int] = {}
     entries = data.get("quadratic", [])
-    if isinstance(entries, Mapping):
+    if not isinstance(entries, (list, tuple)):
         raise InputError("'quadratic' must be a list of {i, j, w} objects")
     for entry in entries:
         if not isinstance(entry, Mapping) or set(entry) != {"i", "j", "w"}:

@@ -28,6 +28,7 @@ import numpy as np
 from .compiler import AtomGraph
 from .errors import CapExceeded, EmptySelection, InputError, SimulationError
 from .geometry import Layout, PhysicalParams, pair_interaction
+from .qubo import bit_planes
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
@@ -97,11 +98,6 @@ class ConstantSchedule:
         return self.omega, self.delta
 
 
-def schedule_value(schedule, t: float) -> tuple[float, float]:
-    """(Omega(t), Delta(t)) of any schedule object."""
-    return schedule.value(t)
-
-
 class HamiltonianMode(Enum):
     IDEAL_BLOCKADE = "ideal"
     FULL_VDW = "vdw"
@@ -118,7 +114,6 @@ class HamiltonianSpec:
     n: int
     couplings: tuple[tuple[int, int, float], ...] = ()
     detuning_weights: tuple[float, ...] = ()
-    drive_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -178,10 +173,7 @@ def _diagonal_arrays(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
     """(weighted occupation, interaction energy) per basis state."""
     n = spec.n
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    bits = [
-        ((idx >> np.uint64(n - 1 - k)) & np.uint64(1)).astype(np.float64) for k in range(n)
-    ]
+    bits = bit_planes(n, 0, dim)[::-1]  # atom k is bit n-1-k of the index
     occ = np.zeros(dim)
     for k, w in enumerate(spec.detuning_weights):
         occ += w * bits[k]
@@ -189,27 +181,6 @@ def _diagonal_arrays(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
     for a, b, u in spec.couplings:
         interaction += u * bits[a] * bits[b]
     return occ, interaction
-
-
-def apply_hamiltonian(
-    spec: HamiltonianSpec, omega: float, delta: float, psi: np.ndarray
-) -> np.ndarray:
-    """H |psi> in (2 pi) MHz units, matrix-free; used by the numeric checks."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (1 << spec.n,):
-        raise InputError(f"state must have dimension {1 << spec.n}")
-    occ, interaction = _diagonal_arrays(spec)
-    out = (interaction - delta * occ) * psi
-    if omega != 0.0:
-        half = 0.5 * omega * spec.drive_weight
-        nd = psi.reshape((2,) * spec.n)
-        out_nd = out.reshape((2,) * spec.n)
-        for axis in range(spec.n):
-            sl0 = (slice(None),) * axis + (0,)
-            sl1 = (slice(None),) * axis + (1,)
-            out_nd[sl0] += half * nd[sl1]
-            out_nd[sl1] += half * nd[sl0]
-    return out
 
 
 def diagonal_energy(spec: HamiltonianSpec, delta: float, bits: Sequence[int] | str) -> float:
@@ -289,7 +260,6 @@ def evolve(
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
     psi_nd = psi.reshape((2,) * n)
-    dw = spec.drive_weight
 
     check_every = max(1, steps // 40)
     for step in range(steps):
@@ -301,11 +271,11 @@ def evolve(
         om2, de2 = schedule.value(m2)
         om3, de3 = schedule.value(m3)
         diag_phase(u_half, de1 * d1 / 2.0, psi)
-        _apply_drive(psi_nd, n, math.pi * om1 * dw * d1)
+        _apply_drive(psi_nd, n, math.pi * om1 * d1)
         diag_phase(u_merged, (de1 * d1 + de2 * d2) / 2.0, psi)
-        _apply_drive(psi_nd, n, math.pi * om2 * dw * d2)
+        _apply_drive(psi_nd, n, math.pi * om2 * d2)
         diag_phase(u_merged, (de2 * d2 + de3 * d3) / 2.0, psi)
-        _apply_drive(psi_nd, n, math.pi * om3 * dw * d3)
+        _apply_drive(psi_nd, n, math.pi * om3 * d3)
         diag_phase(u_half, de3 * d3 / 2.0, psi)
         if step % check_every == 0 or step == steps - 1:
             norm = math.sqrt(float(np.vdot(psi, psi).real))

@@ -23,7 +23,9 @@ from .errors import CapExceeded, InputError
 from .qubo import (
     Assignment,
     DEFAULT_BRUTE_FORCE_CAP,
+    ENUM_CHUNK,
     QuboInstance,
+    bit_planes,
     brute_force_minima,
 )
 
@@ -183,16 +185,11 @@ def _soft_ground_configs(
     edges = sorted(graph.edges)
     best: int | None = None
     found: list[int] = []
-    chunk = 1 << 18
     total = 1 << n
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        count = np.zeros(hi - lo, dtype=np.int64)
-        bits = {}
-        for v in range(n):
-            bits[v] = ((idx >> np.uint64(v)) & np.uint64(1)).astype(np.int64)
-            count += bits[v]
+    for lo in range(0, total, ENUM_CHUNK):
+        hi = min(lo + ENUM_CHUNK, total)
+        bits = bit_planes(n, lo, hi)
+        count = bits.sum(axis=0)
         viol = np.zeros(hi - lo, dtype=np.int64)
         for a, b in edges:
             viol += bits[a] & bits[b]

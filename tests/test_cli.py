@@ -67,6 +67,17 @@ class TestCompile:
         qubo.write_text("{not json", encoding="utf-8")
         result = runner.invoke(main, ["compile", str(qubo)])
         assert result.exit_code == 2
+        write_json(qubo, {"n": 2, "linear": [1, 2]})
+        result = runner.invoke(main, ["compile", str(qubo)])
+        assert result.exit_code == 2, result.output
+        # Graph documents whose atoms lack a role or are not objects.
+        write_json(qubo, F3_DOC)
+        graph = tmp_path / "graph.json"
+        for atoms in ([{"id": 0}], [7]):
+            write_json(graph, {"atoms": atoms, "edges": []})
+            result = runner.invoke(main, ["certify", str(qubo), str(graph)])
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("error: ")
 
     def test_schema_violation_exits_2(self, runner, tmp_path):
         qubo = tmp_path / "bad.json"
@@ -79,6 +90,21 @@ class TestCompile:
         write_json(qubo, F7_DOC)
         result = runner.invoke(main, ["compile", str(qubo), "--max-atoms", "3"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "name", ["RYDQUBO_MAX_ATOMS", "RYDQUBO_ENUM_CAP", "RYDQUBO_BRUTE_CAP", "RYDQUBO_SIM_CAP"]
+    )
+    def test_non_integer_cap_variable_exits_2(self, runner, tmp_path, name):
+        qubo = tmp_path / "f3.json"
+        write_json(qubo, F3_DOC)
+        command = (
+            ["simulate", "--builtin", "G1", "--steps", "1", "-o", str(tmp_path / "d.csv")]
+            if name == "RYDQUBO_SIM_CAP"
+            else ["certify", str(qubo)]
+        )
+        result = runner.invoke(main, command, env={name: "abc"})
+        assert result.exit_code == 2, result.output
+        assert name in result.output
 
 
 class TestCertify:
@@ -98,6 +124,12 @@ class TestCertify:
         result = runner.invoke(main, ["certify", str(qubo), "--json"])
         assert result.exit_code == 0
         assert len(json.loads(result.output)["decoded"]) == 4
+
+    def test_atom_budget_variable_exits_3(self, runner, tmp_path):
+        qubo = tmp_path / "f3.json"
+        write_json(qubo, F3_DOC)
+        result = runner.invoke(main, ["certify", str(qubo)], env={"RYDQUBO_MAX_ATOMS": "3"})
+        assert result.exit_code == 3, result.output
 
     def test_mutated_graph_exits_1(self, runner, tmp_path):
         # Deleting one wire-terminal edge from the compiled LINK constraint

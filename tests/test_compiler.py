@@ -13,10 +13,6 @@ from rydqubo.compiler import (
     Parity,
     WireAtom,
     WireLengthPolicy,
-    build_data_qubit,
-    build_even_wire,
-    build_odd_wire,
-    build_offset,
     compile_qubo,
     decode,
     effective_linear,
@@ -66,73 +62,123 @@ class TestEffectiveLinear:
             effective_linear(F3, 2)
 
 
+def chain(graph, wire=0):
+    """Atom ids of one wire, in chain order."""
+    atoms = [
+        (r.chain_position, a)
+        for a, r in enumerate(graph.roles)
+        if isinstance(r, WireAtom) and r.wire == wire
+    ]
+    return [a for _, a in sorted(atoms)]
+
+
 class TestGadgets:
+    """The four gadget kinds, read off ``compile_qubo`` outputs."""
+
     def test_data_copies_are_isolated(self):
-        g = build_data_qubit(0, 2)
-        assert len(g.roles) == 2
-        assert g.edges == ()
+        g = compile_qubo(QuboInstance(n=1, linear={0: -2}))
+        assert g.atom_count == 2
+        assert not g.edges
         assert all(isinstance(r, DataCopy) for r in g.roles)
+        # Copies stay non-adjacent when wires attach to them.
+        for q in (F3, F4, F6, F7):
+            g = compile_qubo(q)
+            for ids in g.var_copies.values():
+                assert not any((a, b) in g.edges for a in ids for b in ids)
 
     def test_single_copy(self):
-        g = build_data_qubit(0, 1)
-        assert len(g.roles) == 1
+        g = compile_qubo(QuboInstance(n=1, linear={0: -1}))
+        assert g.var_copies == {0: (0,)} and g.atom_count == 1
 
     def test_four_copies(self):
-        g = build_data_qubit(0, 4)
-        assert [r.copy_index for r in g.roles] == [1, 2, 3, 4]
+        g = compile_qubo(QuboInstance(n=1, linear={0: -4}))
+        assert [g.roles[a].copy_index for a in g.var_copies[0]] == [1, 2, 3, 4]
 
     def test_count_below_one_rejected(self):
-        with pytest.raises(InputError):
-            build_data_qubit(0, 0)
+        # No coefficient yields fewer than one data copy ...
+        for c in range(-3, 4):
+            g = compile_qubo(QuboInstance(n=1, linear={0: c}))
+            assert len(g.var_copies[0]) == max(1, -c)
+        # ... and no policy yields a chain of fewer than one atom.
+        for odd in (-1, 0):
+            with pytest.raises(InputError):
+                WireLengthPolicy(odd_atoms=odd)
 
     def test_offsets_all_attach_to_the_anchor(self):
-        g = build_offset(1, 2)
-        assert len(g.roles) == 2
-        assert g.first_port == (0, 1)
+        g = compile_qubo(QuboInstance(n=2, linear={0: -1, 1: 1}))
+        offsets = [a for a, r in enumerate(g.roles) if isinstance(r, Offset)]
+        assert [g.roles[a].offset_index for a in offsets] == [1, 2]
+        assert all(g.neighbors(a) == set(g.var_copies[1]) for a in offsets)
 
     def test_single_offset_encodes_zero(self):
-        g = build_offset(1, 1)
-        assert len(g.roles) == 1
+        g = compile_qubo(QuboInstance(n=1))
+        assert [type(r) for r in g.roles] == [DataCopy, Offset]
+        assert g.edges == {(0, 1)}
 
     def test_even_wire_is_a_chain_with_two_ports(self):
-        g = build_even_wire(0, 1, m=1)
-        assert len(g.roles) == 2
-        assert g.edges == ((0, 1),)
-        assert g.first_port == (0,)
-        assert g.last_port == (1,)
+        g = compile_qubo(F3)
+        head, tail = chain(g)
+        assert (head, tail) in g.edges
+        assert g.neighbors(head) == {tail, *g.var_copies[0]}
+        assert g.neighbors(tail) == {head, *g.var_copies[1]}
 
     def test_even_wire_length_four(self):
-        g = build_even_wire(0, 1, m=2)
-        assert len(g.roles) == 4
-        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        g = compile_qubo(F3, policy=WireLengthPolicy(even_atoms=4))
+        atoms = chain(g)
+        assert len(atoms) == 4
+        assert [(a, b) for a, b in sorted(g.edges) if a in atoms and b in atoms] == list(
+            zip(atoms, atoms[1:])
+        )
+        assert g.neighbors(atoms[0]) - set(atoms) == set(g.var_copies[0])
+        assert g.neighbors(atoms[-1]) - set(atoms) == set(g.var_copies[1])
 
     def test_even_wire_needs_positive_m(self):
-        with pytest.raises(InputError):
-            build_even_wire(0, 1, m=0)
+        for even in (0, -2):
+            with pytest.raises(InputError):
+                WireLengthPolicy(even_atoms=even)
 
     def test_odd_wire_single_atom(self):
-        g = build_odd_wire(0, 1, m=0)
-        assert len(g.roles) == 1
-        assert g.first_port == g.last_port == (0,)
+        g = compile_qubo(F4)
+        (atom,) = chain(g)
+        assert g.neighbors(atom) == {*g.var_copies[0], *g.var_copies[1]}
 
     def test_odd_wire_three_atoms(self):
-        g = build_odd_wire(0, 1, m=1)
-        assert len(g.roles) == 3
+        g = compile_qubo(F4, policy=WireLengthPolicy(odd_atoms=3))
+        atoms = chain(g)
+        assert len(atoms) == 3
+        assert {(a, b) for a, b in g.edges if a in atoms and b in atoms} == set(
+            zip(atoms, atoms[1:])
+        )
+        assert g.neighbors(atoms[0]) - set(atoms) == set(g.var_copies[0])
+        assert g.neighbors(atoms[-1]) - set(atoms) == set(g.var_copies[1])
 
     def test_offset_star_energy_difference(self):
-        # Oracle: exhaustive diagonal ground energies of one data atom with
-        # three attached offsets, conditioned on the data value.  Three
-        # offsets must realise a +2 coefficient.
+        # Oracle: exhaustive diagonal ground energies of the compiled +2
+        # gadget (one data atom, three offsets), conditioned on the data value.
+        g = compile_qubo(QuboInstance(n=1, linear={0: 2}))
+        assert g.atom_count == 4
+
         def conditional_ground(data_bit):
             best = None
-            for offsets in product((0, 1), repeat=3):
-                if data_bit and any(offsets):
-                    continue  # blockaded
-                energy = -(data_bit + sum(offsets))
+            for bits in product((0, 1), repeat=g.atom_count):
+                if bits[0] != data_bit or any(bits[a] and bits[b] for a, b in g.edges):
+                    continue  # wrong data value, or blockaded
+                energy = -sum(bits)
                 best = energy if best is None else min(best, energy)
             return best
 
         assert conditional_ground(1) - conditional_ground(0) == 2
+
+    def test_labels(self):
+        F5 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 2})
+        assert compile_qubo(F5).labels == (
+            "x1^(1)", "x1^(2)", "x2", "a2^(1)", "a2^(2)", "W1^(1)", "W1^(2)", "W2^(1)", "W2^(2)",
+        )
+        assert compile_qubo(F4).labels == ("x1^(1)", "x1^(2)", "x1^(3)", "x2", "a2", "W1")
+        q = QuboInstance(n=2, linear={0: -1}, quadratic={(0, 1): 1})
+        assert compile_qubo(q, policy=WireLengthPolicy(even_atoms=4)).labels == (
+            "x1", "x2", "a2", "W1^(1)", "W1^(2)", "W1^(3)", "W1^(4)",
+        )
 
 
 class TestCompile:

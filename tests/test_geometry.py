@@ -256,6 +256,19 @@ class TestValidation:
         with pytest.raises(InputError):
             validate_unit_disk(graph, Layout({0: (0.0, 0.0)}), REFERENCE_PARAMS)
 
+    def test_non_finite_coordinates_rejected(self):
+        # NaN compares False with every radius, so it must not reach the audit.
+        _, layout = load_builtin_layout("G3")
+        for bad in (math.nan, math.inf, -math.inf):
+            moved = dict(layout.positions)
+            moved[0] = (bad, 0.0)
+            with pytest.raises(InputError):
+                Layout(moved)
+        with pytest.raises(InputError):
+            layout_from_csv("id,x,y\n0,nan,0\n")
+        with pytest.raises(InputError):
+            layout_from_dict({"positions": [{"id": 0, "x": 0.0, "y": math.inf}]})
+
 
 class TestLayoutSerialization:
     def test_json_round_trip(self):

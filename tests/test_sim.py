@@ -15,15 +15,14 @@ from rydqubo.sim import (
     HamiltonianSpec,
     PulseSchedule,
     StateDistribution,
+    _diagonal_arrays,
     af_predicate,
-    apply_hamiltonian,
     build_hamiltonian,
     diagonal_energy,
     evolve,
     measure_distribution,
     postselect,
     sample_distribution,
-    schedule_value,
 )
 from rydqubo.solver import enumerate_ground_configs
 
@@ -32,32 +31,47 @@ from rydqubo.solver import enumerate_ground_configs
 FAST_STEPS = 1200
 
 
+def apply_hamiltonian(spec, omega, delta, psi):
+    """H |psi> in (2 pi) MHz units, matrix-free: the reference operator."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    occ, interaction = _diagonal_arrays(spec)
+    out = (interaction - delta * occ) * psi
+    nd = psi.reshape((2,) * spec.n)
+    out_nd = out.reshape((2,) * spec.n)
+    for axis in range(spec.n):
+        sl0 = (slice(None),) * axis + (0,)
+        sl1 = (slice(None),) * axis + (1,)
+        out_nd[sl0] += 0.5 * omega * nd[sl1]
+        out_nd[sl1] += 0.5 * omega * nd[sl0]
+    return out
+
+
 class TestSchedule:
     def test_endpoints(self):
         s = PulseSchedule()
-        assert schedule_value(s, 0.0) == (0.0, -4.0)
-        assert schedule_value(s, 2.5) == (0.0, 5.0)
+        assert s.value(0.0) == (0.0, -4.0)
+        assert s.value(2.5) == (0.0, 5.0)
 
     def test_midpoint(self):
         s = PulseSchedule()
-        omega, delta = schedule_value(s, 1.25)
+        omega, delta = s.value(1.25)
         assert omega == pytest.approx(0.96)
         assert delta == pytest.approx(0.5)
 
     def test_plateau_and_ramps(self):
         s = PulseSchedule()
-        assert schedule_value(s, 0.125)[0] == pytest.approx(0.48)
-        assert schedule_value(s, 0.25)[0] == pytest.approx(0.96)
-        assert schedule_value(s, 0.25)[1] == pytest.approx(-4.0 + 9.0 * (0.25 - 0.25) / 2.0)
-        assert schedule_value(s, 2.375)[0] == pytest.approx(0.48)
-        assert schedule_value(s, 2.4)[1] == 5.0
+        assert s.value(0.125)[0] == pytest.approx(0.48)
+        assert s.value(0.25)[0] == pytest.approx(0.96)
+        assert s.value(0.25)[1] == pytest.approx(-4.0 + 9.0 * (0.25 - 0.25) / 2.0)
+        assert s.value(2.375)[0] == pytest.approx(0.48)
+        assert s.value(2.4)[1] == 5.0
 
     def test_domain(self):
         s = PulseSchedule()
         with pytest.raises(InputError):
-            schedule_value(s, -0.1)
+            s.value(-0.1)
         with pytest.raises(InputError):
-            schedule_value(s, 2.6)
+            s.value(2.6)
 
     def test_fraction_invariants(self):
         with pytest.raises(InputError):
