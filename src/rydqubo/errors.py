@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the finite-value guard."""
+
+import math
+from dataclasses import fields
 
 
 class RydquboError(Exception):
@@ -23,3 +26,11 @@ class SimulationError(RydquboError):
 
 class EmptySelection(RydquboError):
     """Post-selection removed every measurement outcome."""
+
+
+def require_finite(record) -> None:
+    """Raise InputError naming the first field of a numeric dataclass that is NaN or infinite."""
+    for item in fields(record):
+        value = getattr(record, item.name)
+        if not math.isfinite(value):
+            raise InputError(f"{item.name} must be finite, got {value}")

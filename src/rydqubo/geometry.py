@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .compiler import AtomGraph, role_from_dict, wire_from_dict
-from .errors import InputError
+from .errors import InputError, require_finite
 from .qubo import qubo_from_dict
 
 DEFAULT_C6 = 1023e3  # (2 pi) MHz um^6
@@ -32,6 +32,7 @@ class PhysicalParams:
     delta: float = 5.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.c6 > 0:
             raise InputError(f"c6 must be positive, got {self.c6}")
 
@@ -188,8 +189,10 @@ def validate_unit_disk(
     """
     params = params or PhysicalParams()
     radius = blockade_radius(params) if d_r is None else float(d_r)
-    if margin < 0:
-        raise InputError(f"margin must be nonnegative, got {margin}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"d_r must be finite and positive, got {radius}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise InputError(f"margin must be finite and nonnegative, got {margin}")
     missing = [a for a in range(graph.atom_count) if a not in layout.positions]
     if missing:
         raise InputError(f"layout is missing atoms {missing}")

@@ -16,18 +16,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .compiler import AtomGraph, DataCopy, Parity, try_decode
 from .errors import CapExceeded, InputError
-from .qubo import (
-    Assignment,
-    DEFAULT_BRUTE_FORCE_CAP,
-    ENUM_CHUNK,
-    QuboInstance,
-    bit_planes,
-    brute_force_minima,
-)
+from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
 
 DEFAULT_ENUM_CAP = 30
 REFERENCE_ENUM_CAP = 25
@@ -172,36 +163,21 @@ def enumerate_mis_reference(
 
 
 def _soft_ground_configs(
-    graph: AtomGraph, model: EnergyModel
+    graph: AtomGraph, model: EnergyModel, cap: int
 ) -> tuple[Fraction, tuple[Config, ...]]:
     """Exhaustive sweep minimising  u * violations - delta * excitations.
 
     Scores are integers p*v - q*c with u/delta = p/q, so degeneracy is exact.
     """
-    n = graph.atom_count
     assert model.u is not None
     ratio = model.u / model.delta
     p, q = ratio.numerator, ratio.denominator
-    edges = sorted(graph.edges)
-    best: int | None = None
-    found: list[int] = []
-    total = 1 << n
-    for lo in range(0, total, ENUM_CHUNK):
-        hi = min(lo + ENUM_CHUNK, total)
-        bits = bit_planes(n, lo, hi)
-        count = bits.sum(axis=0)
-        viol = np.zeros(hi - lo, dtype=np.int64)
-        for a, b in edges:
-            viol += bits[a] & bits[b]
-        score = p * viol - q * count
-        chunk_min = int(score.min())
-        if best is None or chunk_min < best:
-            best = chunk_min
-            found = []
-        if chunk_min == best:
-            found.extend(int(k) + lo for k in np.nonzero(score == chunk_min)[0])
-    assert best is not None
-    configs = tuple(sorted(_config_from_mask(m, n) for m in found))
+    scores = QuboInstance(
+        graph.atom_count,
+        linear={k: -q for k in range(graph.atom_count)},
+        quadratic={edge: p for edge in graph.edges},
+    )
+    best, configs = brute_force_minima(scores, cap=cap)
     return Fraction(best, q), configs
 
 
@@ -223,7 +199,7 @@ def enumerate_ground_configs(
     if n == 0:
         return 0, ((),)
     if model.mode is InteractionMode.SOFT_PENALTY:
-        return _soft_ground_configs(graph, model)
+        return _soft_ground_configs(graph, model, cap)
     masks = _adjacency_masks(graph)
     size, sets = _enumerate_mis_branch_and_bound(masks, n)
     configs = tuple(sorted(_config_from_mask(m, n) for m in sets))

@@ -78,6 +78,19 @@ class TestCompile:
             result = runner.invoke(main, ["certify", str(qubo), str(graph)])
             assert result.exit_code == 2, result.output
             assert result.output.startswith("error: ")
+        # NaN fails every comparison, so it must be rejected before any check
+        # or sweep runs; G4's non-edges at 10.75 um lie inside a 20 um radius.
+        dist = str(tmp_path / "d.csv")
+        for args, field in (
+            (["validate", "--builtin", "G4", "--margin", "nan", "--d-r", "20"], "margin"),
+            (["validate", "--builtin", "G4", "--d-r", "nan"], "d_r"),
+            (["validate", "--builtin", "G4", "--delta", "nan"], "delta"),
+            (["simulate", "--builtin", "G1", "--omega0", "nan", "-o", dist], "omega0"),
+            (["simulate", "--builtin", "G3", "--u0", "nan", "-o", dist], "coupling"),
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("error: ") and field in result.output
 
     def test_schema_violation_exits_2(self, runner, tmp_path):
         qubo = tmp_path / "bad.json"

@@ -269,6 +269,21 @@ class TestValidation:
         with pytest.raises(InputError):
             layout_from_dict({"positions": [{"id": 0, "x": 0.0, "y": math.inf}]})
 
+    def test_non_finite_radius_margin_and_fields_rejected(self):
+        # G4's closest non-edge is 10.75 um, inside a 20 um radius, so any of
+        # these passing the guard would have reported a false PASS.
+        graph, layout = load_builtin_layout("G4")
+        for d_r in (math.nan, math.inf, 0.0, -7.7):
+            with pytest.raises(InputError):
+                validate_unit_disk(graph, layout, d_r=d_r)
+        for margin in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                validate_unit_disk(graph, layout, d_r=20.0, margin=margin)
+        for field in ("c6", "omega", "delta"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(InputError, match=field):
+                    PhysicalParams(**{field: bad})
+
 
 class TestLayoutSerialization:
     def test_json_round_trip(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rydqubo.compiler import compile_qubo, try_decode
-from rydqubo.errors import CapExceeded, EmptySelection, InputError
+from rydqubo.errors import CapExceeded, EmptySelection, InputError, SimulationError
 from rydqubo.geometry import PhysicalParams, load_builtin_layout
 from rydqubo.qubo import QuboInstance
 from rydqubo.sim import (
@@ -15,7 +15,6 @@ from rydqubo.sim import (
     HamiltonianSpec,
     PulseSchedule,
     StateDistribution,
-    _diagonal_arrays,
     af_predicate,
     build_hamiltonian,
     diagonal_energy,
@@ -34,7 +33,11 @@ FAST_STEPS = 1200
 def apply_hamiltonian(spec, omega, delta, psi):
     """H |psi> in (2 pi) MHz units, matrix-free: the reference operator."""
     psi = np.asarray(psi, dtype=np.complex128)
-    occ, interaction = _diagonal_arrays(spec)
+    n = spec.n
+    # Row k holds the occupation of atom k, which is bit n-1-k of the index.
+    bits = np.array([[(i >> (n - 1 - k)) & 1 for i in range(1 << n)] for k in range(n)], dtype=float)
+    occ = np.asarray(spec.detuning_weights) @ bits
+    interaction = sum((u * bits[a] * bits[b] for a, b, u in spec.couplings), np.zeros(1 << n))
     out = (interaction - delta * occ) * psi
     nd = psi.reshape((2,) * spec.n)
     out_nd = out.reshape((2,) * spec.n)
@@ -79,6 +82,16 @@ class TestSchedule:
         with pytest.raises(InputError):
             PulseSchedule(total_time=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        for field in ("total_time", "omega0", "delta_i", "delta_f", "t1", "t2"):
+            with pytest.raises(InputError, match=field):
+                PulseSchedule(**{field: bad})
+        for field in ("omega", "delta", "total_time"):
+            values = {"omega": 1.0, "delta": 0.0, "total_time": 1.0, field: bad}
+            with pytest.raises(InputError, match=field):
+                ConstantSchedule(**values)
+
 
 class TestBuildHamiltonian:
     def test_edgeless_graph_has_no_couplings(self):
@@ -117,6 +130,11 @@ class TestBuildHamiltonian:
             HamiltonianSpec(n=2, couplings=((0, 0, 1.0),))
         with pytest.raises(InputError):
             HamiltonianSpec(n=2, couplings=((0, 1, -1.0),))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                HamiltonianSpec(n=2, couplings=((0, 1, bad),))
+            with pytest.raises(InputError):
+                HamiltonianSpec(n=2, detuning_weights=(1.0, bad))
 
 
 class TestOperator:
@@ -154,6 +172,45 @@ class TestEvolve:
             p1 = abs(psi[1]) ** 2
             assert p1 == pytest.approx(math.sin(math.pi * 0.5 * duration) ** 2, abs=1e-6)
 
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_detuned_weighted_rabi_is_exact(self, steps):
+        # Uncoupled atoms under a constant schedule are propagated exactly, so
+        # even one step matches the generalized Rabi formula.
+        omega, delta, duration = 0.8, 0.6, 1.3
+
+        def excited(w):
+            rate = math.hypot(omega, delta * w)
+            return (omega / rate) ** 2 * math.sin(math.pi * rate * duration) ** 2
+
+        schedule = ConstantSchedule(omega=omega, delta=delta, total_time=duration)
+        single = evolve(HamiltonianSpec(n=1, detuning_weights=(2.0,)), schedule, steps=steps)
+        assert abs(single[1]) ** 2 == pytest.approx(excited(2.0), abs=1e-12)
+        pair = evolve(HamiltonianSpec(n=2, detuning_weights=(1.0, 2.5)), schedule, steps=steps)
+        probs = measure_distribution(pair).probabilities
+        p0, p1 = excited(1.0), excited(2.5)
+        expected = {"00": (1 - p0) * (1 - p1), "01": (1 - p0) * p1, "10": p0 * (1 - p1), "11": p0 * p1}
+        for bits, p in expected.items():
+            assert probs[bits] == pytest.approx(p, abs=1e-12)
+
+    def test_coupled_weighted_graph_matches_dense_propagation(self):
+        spec = HamiltonianSpec(
+            n=4,
+            couplings=((0, 1, 12.0), (1, 2, 9.0), (2, 3, 12.0), (0, 3, 0.7)),
+            detuning_weights=(1.0, 2.0, 1.5, 1.0),
+        )
+        omega, delta, duration = 1.1, 1.4, 1.5
+        dim = 1 << spec.n
+        dense = np.column_stack(
+            [apply_hamiltonian(spec, omega, delta, np.eye(dim)[k]) for k in range(dim)]
+        )
+        energies, vectors = np.linalg.eigh(dense)
+        start = np.zeros(dim)
+        start[0] = 1.0
+        exact = vectors @ (np.exp(-2j * math.pi * duration * energies) * (vectors.conj().T @ start))
+        schedule = ConstantSchedule(omega=omega, delta=delta, total_time=duration)
+        psi = evolve(spec, schedule, steps=1600)
+        assert np.max(np.abs(np.abs(psi) ** 2 - np.abs(exact) ** 2)) <= 1e-6
+
     def test_norm_conserved(self):
         g, _ = load_builtin_layout("G3")
         spec = build_hamiltonian(g)
@@ -189,6 +246,16 @@ class TestEvolve:
         a = evolve(spec, PulseSchedule(), steps=300)
         b = evolve(spec, PulseSchedule(), steps=300)
         assert np.array_equal(a, b)
+
+    def test_norm_guard_catches_nan(self):
+        class NanDrive:
+            total_time = 1.0
+
+            def value(self, t):
+                return math.nan, 0.0
+
+        with pytest.raises(SimulationError):
+            evolve(HamiltonianSpec(n=2), NanDrive(), steps=3)
 
     def test_cap(self):
         spec = HamiltonianSpec(n=3)
@@ -247,6 +314,8 @@ class TestDistributions:
     def test_unnormalised_rejected(self):
         with pytest.raises(InputError):
             measure_distribution(np.ones(4, dtype=complex))
+        with pytest.raises(InputError, match="not normalised"):
+            measure_distribution(np.full(4, np.nan, dtype=complex))
 
     def test_probability_sum_invariant(self):
         with pytest.raises(InputError):
