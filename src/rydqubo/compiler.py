@@ -462,6 +462,10 @@ def compile_qubo(
     instance by instance rather than assuming it.
     """
     policy = policy or WireLengthPolicy()
+    # Every variable takes at least one atom; checking that first keeps the
+    # per-variable budget count below from looping over a huge n.
+    if q.n > max_atoms:
+        raise CapExceeded(f"compiled graph would need at least {q.n} atoms (cap {max_atoms})")
     planned = planned_atom_count(q, policy)
     if planned > max_atoms:
         raise CapExceeded(f"compiled graph would need {planned} atoms (cap {max_atoms})")

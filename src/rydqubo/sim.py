@@ -11,6 +11,12 @@ drive and detuning.  The norm is conserved to machine precision for any step
 size, results are bit-for-bit deterministic for a fixed step count, and
 uncoupled atoms under a constant schedule are propagated exactly.
 
+The per-atom rotations are applied block by block: the atoms are split into
+near-equal blocks of at most five, and each block's Kronecker product of 2x2
+rotations acts as one matrix product on the state viewed as a
+(2^s, rest) matrix.  Each product also cycles the block's axes to the end, so
+after the last block the state is back in atom order without a transpose.
+
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
 in atom order.
@@ -18,6 +24,7 @@ in atom order.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +39,9 @@ from .geometry import Layout, PhysicalParams, pair_interaction
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
+# Atoms per Kronecker block of the rotation kernel: a 32x32 block keeps the
+# gather small while one matrix product replaces five axis passes.
+_BLOCK_ATOMS = 5
 _TWO_PI = 2.0 * math.pi
 
 # Fourth-order (triple-jump) composition coefficients for symmetric steps.
@@ -196,8 +206,8 @@ def diagonal_energy(spec: HamiltonianSpec, delta: float, bits: Sequence[int] | s
     return energy
 
 
-def _rotation(a: float, b: float) -> tuple[complex, complex, complex]:
-    """Entries (r00, r01, r11) of exp(-i (a sx - 2 b n)), a symmetric 2x2 matrix.
+def _rotation(a: float, b: float) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries of exp(-i (a sx - 2 b n)), a symmetric 2x2 matrix.
 
     For one atom over a duration d, a = pi d Omega and b = pi d Delta w.
     """
@@ -205,20 +215,53 @@ def _rotation(a: float, b: float) -> tuple[complex, complex, complex]:
     s = math.sin(phi) / phi if phi else 1.0
     c = math.cos(phi)
     phase = complex(math.cos(b), math.sin(b))
-    return phase * complex(c, -b * s), phase * complex(0.0, -a * s), phase * complex(c, b * s)
+    off = phase * complex(0.0, -a * s)
+    return phase * complex(c, -b * s), off, off, phase * complex(c, b * s)
 
 
-def _apply_rotations(psi_nd: np.ndarray, rotations: Sequence[tuple[complex, complex, complex]]) -> None:
-    """Product of per-atom symmetric 2x2 rotations, one per axis, in place."""
-    for axis, (r00, r01, r11) in enumerate(rotations):
-        sl0 = (slice(None),) * axis + (0,)
-        sl1 = (slice(None),) * axis + (1,)
-        a = psi_nd[sl0]
-        b = psi_nd[sl1]
-        na = r00 * a + r01 * b
-        nb = r01 * a + r11 * b
-        psi_nd[sl0] = na
-        psi_nd[sl1] = nb
+def _block_sizes(n: int) -> list[int]:
+    """Near-equal split of n atoms into blocks of at most ``_BLOCK_ATOMS``."""
+    count = -(-n // _BLOCK_ATOMS)
+    base, extra = divmod(n, count)
+    return [base + 1] * extra + [base] * (count - extra)
+
+
+def _block_index_tables(group: Sequence[int]) -> list[np.ndarray]:
+    """Gather tables that build each block's Kronecker product of rotations.
+
+    The table of a block of s atoms has shape (s, 2^s, 2^s); entry [k, i, j]
+    points at element (bit k of i, bit k of j) of the rotation of the block's
+    k-th atom, in a flat vector holding the row-major 2x2 rotation of each
+    weight group.  Bit k counts from the most significant end, matching the
+    state's axes.
+    """
+    tables = []
+    start = 0
+    for s in _block_sizes(len(group)):
+        shift = np.arange(s - 1, -1, -1)[:, None]
+        bits = (np.arange(1 << s)[None, :] >> shift) & 1
+        offsets = 4 * np.asarray(group[start:start + s])[:, None, None]
+        tables.append(offsets + 2 * bits[:, :, None] + bits[:, None, :])
+        start += s
+    return tables
+
+
+def _apply_rotations(
+    psi: np.ndarray, flat: np.ndarray, tables: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Product of per-atom symmetric 2x2 rotations; returns the new state.
+
+    Each block's 2^s x 2^s matrix is the Kronecker product of its atoms'
+    rotations, gathered from ``flat`` through the block's index table.  With
+    the block's atoms as the leading axes, ``psi.reshape(2^s, -1).T @ block``
+    applies it (the product is symmetric) and moves those axes to the end.
+    The block sizes sum to n, so after the last block the axes are back in
+    order.
+    """
+    for table in tables:
+        block = flat[table].prod(axis=0)
+        psi = psi.reshape(block.shape[0], -1).T @ block
+    return psi.reshape(-1)
 
 
 def evolve(
@@ -247,6 +290,7 @@ def evolve(
     # Atoms of equal weight share one rotation per stage.
     weights = sorted(set(spec.detuning_weights))
     group = [weights.index(w) for w in spec.detuning_weights]
+    tables = _block_index_tables(group)
 
     h = schedule.total_time / steps
     d1, d2, d3 = _W1 * h, _W0 * h, _W1 * h
@@ -258,23 +302,22 @@ def evolve(
 
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
-    psi_nd = psi.reshape((2,) * n)
 
-    def rotate(t: float, d: float) -> None:
+    def rotate(psi: np.ndarray, t: float, d: float) -> np.ndarray:
         omega, delta = schedule.value(t)
         a = math.pi * omega * d
-        shared = [_rotation(a, math.pi * delta * w * d) for w in weights]
-        _apply_rotations(psi_nd, [shared[k] for k in group])
+        flat = np.array([_rotation(a, math.pi * delta * w * d) for w in weights]).reshape(-1)
+        return _apply_rotations(psi, flat, tables)
 
     check_every = max(1, steps // 40)
     for step in range(steps):
         t0 = step * h
         psi *= u_half
-        rotate(t0 + 0.5 * d1, d1)
+        psi = rotate(psi, t0 + 0.5 * d1, d1)
         psi *= u_merged
-        rotate(t0 + d1 + 0.5 * d2, d2)
+        psi = rotate(psi, t0 + d1 + 0.5 * d2, d2)
         psi *= u_merged
-        rotate(t0 + d1 + d2 + 0.5 * d3, d3)
+        psi = rotate(psi, t0 + d1 + d2 + 0.5 * d3, d3)
         psi *= u_half
         if step % check_every == 0 or step == steps - 1:
             norm = math.sqrt(float(np.vdot(psi, psi).real))
@@ -288,6 +331,10 @@ def evolve(
 # ----------------------------------------------------------------------
 # Measurement distributions
 # ----------------------------------------------------------------------
+
+
+def _rank_key(item: tuple[str, float]) -> tuple[float, str]:
+    return -item[1], item[0]
 
 
 @dataclass
@@ -308,10 +355,20 @@ class StateDistribution:
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise InputError(f"probabilities sum to {total}, expected 1")
 
+    def _ranked(self, k: int | None = None) -> list[tuple[str, float]]:
+        """Outcomes by falling probability, ties broken lexicographically.
+
+        With ``k`` only the first k are selected, without a full sort;
+        ``heapq.nsmallest`` equals ``sorted(...)[:k]`` for the same key.
+        """
+        items = self.probabilities.items()
+        if k is None:
+            return sorted(items, key=_rank_key)
+        return heapq.nsmallest(k, items, key=_rank_key)
+
     def top(self, k: int = 1) -> list[tuple[str, float]]:
         """The k most probable bitstrings, ties broken lexicographically."""
-        ranked = sorted(self.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:k]
+        return self._ranked(k)
 
     def modal(self) -> str:
         return self.top(1)[0][0]
@@ -321,17 +378,16 @@ class StateDistribution:
         if self.atom_labels:
             lines.append("# atom order: " + ",".join(self.atom_labels))
         lines.append("bitstring,probability")
-        for bs, p in sorted(self.probabilities.items(), key=lambda kv: (-kv[1], kv[0])):
+        for bs, p in self._ranked():
             lines.append(f"{bs},{p:.12g}")
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        ordered = sorted(self.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
         return {
             "atom_order": list(self.atom_labels) if self.atom_labels else None,
             "exact": self.exact,
             "shots": self.shots,
-            "probabilities": {bs: p for bs, p in ordered},
+            "probabilities": dict(self._ranked()),
         }
 
     def to_json(self, indent: int | None = 2) -> str:

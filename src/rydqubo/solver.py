@@ -168,6 +168,8 @@ def _soft_ground_configs(
     """Exhaustive sweep minimising  u * violations - delta * excitations.
 
     Scores are integers p*v - q*c with u/delta = p/q, so degeneracy is exact.
+    The sweep visits all 2^n configurations, so it is held to the brute-force
+    cap as well as ``cap``.
     """
     assert model.u is not None
     ratio = model.u / model.delta
@@ -177,7 +179,7 @@ def _soft_ground_configs(
         linear={k: -q for k in range(graph.atom_count)},
         quadratic={edge: p for edge in graph.edges},
     )
-    best, configs = brute_force_minima(scores, cap=cap)
+    best, configs = brute_force_minima(scores, cap=min(cap, DEFAULT_BRUTE_FORCE_CAP))
     return Fraction(best, q), configs
 
 

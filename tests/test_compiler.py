@@ -1,6 +1,7 @@
 """Tests for gadget construction, graph assembly, decoding, and graph JSON."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -246,6 +247,14 @@ class TestCompile:
     def test_atom_cap(self):
         with pytest.raises(CapExceeded):
             compile_qubo(F7, max_atoms=5)
+
+    def test_atom_cap_precedes_the_per_variable_count(self):
+        # A 2^70-variable instance parses, and counting its atoms one
+        # variable at a time would never finish.
+        started = time.monotonic()
+        with pytest.raises(CapExceeded, match="at least"):
+            compile_qubo(QuboInstance(n=2**70))
+        assert time.monotonic() - started < 1.0
 
     def test_ids_and_wire_ids_unique(self):
         g = compile_qubo(F7)

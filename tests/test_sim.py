@@ -23,6 +23,7 @@ from rydqubo.sim import (
     postselect,
     sample_distribution,
 )
+from rydqubo import sim
 from rydqubo.solver import enumerate_ground_configs
 
 # Fewer steps than the production default keeps unit tests quick; the
@@ -46,6 +47,28 @@ def apply_hamiltonian(spec, omega, delta, psi):
         sl1 = (slice(None),) * axis + (1,)
         out_nd[sl0] += 0.5 * omega * nd[sl1]
         out_nd[sl1] += 0.5 * omega * nd[sl0]
+    return out
+
+
+def apply_rotations_reference(psi_nd, rotations):
+    """Per-axis product of symmetric 2x2 rotations, in place: the reference kernel."""
+    for axis, (r00, r01, _, r11) in enumerate(rotations):
+        sl0 = (slice(None),) * axis + (0,)
+        sl1 = (slice(None),) * axis + (1,)
+        a = psi_nd[sl0]
+        b = psi_nd[sl1]
+        na = r00 * a + r01 * b
+        nb = r01 * a + r11 * b
+        psi_nd[sl0] = na
+        psi_nd[sl1] = nb
+
+
+def reference_rotations_kernel(psi, flat, tables):
+    """``sim._apply_rotations`` computed by the reference kernel instead."""
+    group = np.concatenate([table[:, 0, 0] // 4 for table in tables])
+    out = psi.copy()
+    rotations = [flat[4 * g:4 * g + 4] for g in group]
+    apply_rotations_reference(out.reshape((2,) * len(group)), rotations)
     return out
 
 
@@ -287,6 +310,42 @@ class TestEvolve:
         assert top_two == {"101", "010"}
 
 
+class TestRotationKernel:
+    def test_block_sizes(self):
+        assert sim._block_sizes(15) == [5, 5, 5]
+        assert sim._block_sizes(11) == [4, 4, 3]
+        assert sim._block_sizes(1) == [1]
+        for n in range(1, 17):
+            sizes = sim._block_sizes(n)
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= sim._BLOCK_ATOMS
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_per_axis_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        weights = sorted({1.0, 2.0, 2.5})
+        atom_weights = rng.choice(weights, size=n)
+        group = [weights.index(w) for w in atom_weights]
+        a = rng.uniform(-1.0, 1.0)
+        shared = [sim._rotation(a, rng.uniform(-1.0, 1.0) * w) for w in weights]
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        expected = psi.copy()
+        apply_rotations_reference(expected.reshape((2,) * n), [shared[k] for k in group])
+        got = sim._apply_rotations(psi, np.ravel(shared), sim._block_index_tables(group))
+        assert got.shape == psi.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["G3", "G5P"])
+    def test_evolve_matches_the_reference_kernel(self, name, monkeypatch):
+        graph, _ = load_builtin_layout(name)
+        spec = build_hamiltonian(graph, detuning_weights=[1.0 + (k % 3) / 2 for k in range(graph.atom_count)])
+        fast = evolve(spec, PulseSchedule(), steps=400)
+        monkeypatch.setattr(sim, "_apply_rotations", reference_rotations_kernel)
+        slow = evolve(spec, PulseSchedule(), steps=400)
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
 class TestAdiabaticConsistency:
     @pytest.mark.parametrize("name", ["G1", "G2", "G3", "G4", "G_LNK", "G_NOT", "G6P", "G5P"])
     def test_long_sweep_lands_on_a_ground_configuration(self, name):
@@ -333,6 +392,14 @@ class TestDistributions:
         dist = StateDistribution({"01": 0.75, "10": 0.25})
         doc = dist.to_dict()
         assert list(doc["probabilities"]) == ["01", "10"]
+
+    def test_top_is_the_prefix_of_the_full_ranking(self):
+        dist = StateDistribution({"11": 0.1, "01": 0.3, "10": 0.3, "00": 0.3})
+        ranked = sorted(dist.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
+        for k in (1, 2, len(ranked)):
+            assert dist.top(k) == ranked[:k]
+        assert dist.modal() == "00"
+        assert list(dist.to_dict()["probabilities"]) == [bs for bs, _ in ranked]
 
     def test_sampling_is_seeded(self):
         dist = StateDistribution({"01": 0.75, "10": 0.25})

@@ -1,6 +1,7 @@
 """Tests for exact ground-state enumeration, wire tables, certification, MWIS."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -121,6 +122,16 @@ class TestSoftPenalty:
         # one excited atom: energy -delta, i.e. -1 in delta units
         assert energy == -1
         assert set(configs) == {(1, 0), (0, 1)}
+
+    def test_sweep_is_held_to_the_brute_force_cap(self):
+        # 25 atoms pass the search cap but not the brute-force cap that bounds
+        # the 2^n soft sweep, so the call fails before sweeping anything.
+        g = plain_graph(25, [(k, k + 1) for k in range(24)])
+        model = EnergyModel(delta=1, u=2, mode=InteractionMode.SOFT_PENALTY)
+        started = time.monotonic()
+        with pytest.raises(CapExceeded):
+            enumerate_ground_configs(g, model)
+        assert time.monotonic() - started < 1.0
 
 
 class TestWireTable:
