@@ -137,7 +137,9 @@ def cmd_compile(qubo_path, output, wire_even_len, wire_odd_len, max_atoms, as_js
 @click.option("-o", "--output", default=None, help="Write the certificate report as JSON.")
 @_compile_options
 @click.option("--enum-cap", envvar="RYDQUBO_ENUM_CAP", default=DEFAULT_ENUM_CAP, type=int,
-              show_default=True, show_envvar=True, help="Ground-set search cap.")
+              show_default=True, show_envvar=True,
+              help="Atom cap of the exact ground-set search: the largest component once "
+                   "data copies are clamped, else the whole graph.")
 @click.option("--brute-cap", envvar="RYDQUBO_BRUTE_CAP", default=DEFAULT_BRUTE_FORCE_CAP, type=int,
               show_default=True, show_envvar=True, help="Oracle enumeration cap.")
 @click.option("--json", "as_json", is_flag=True, help="Print the report JSON to stdout.")

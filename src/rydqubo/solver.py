@@ -5,12 +5,21 @@ atoms and no excited blockaded pair, so ground configurations are exactly
 the maximum independent sets.  Energies are reported in detuning units to
 keep degeneracy detection exact: hard-blockade energies are integers, the
 soft-penalty variant uses exact rationals.
+
+``enumerate_ground_configs`` lists every ground configuration.
+``certify_equivalence`` lists them only when it must.  When every variable's
+data copies share one neighbourhood (every compiled graph), no maximum set
+splits a variable's copies, so it clamps the copies instead: the other atoms
+fall apart into components (wires, offset stars, ...) whose MIS sizes are
+tabulated once per assignment of the few variables each one touches, and
+alpha(G | x) is a sum of table entries for each of the 2^n assignments x.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -209,6 +218,157 @@ def enumerate_ground_configs(
 
 
 # ----------------------------------------------------------------------
+# Clamped ground sets
+# ----------------------------------------------------------------------
+
+
+def _twin_copies(graph: AtomGraph) -> bool:
+    """True when all data copies of each variable have one neighbourhood.
+
+    A maximum independent set then never splits a variable's copies: copies
+    are mutually non-adjacent, so the missing ones could join the set.
+    """
+    return all(
+        graph.neighbors(copy) == graph.neighbors(ids[0])
+        for ids in graph.var_copies.values()
+        for copy in ids[1:]
+    )
+
+
+def _mis_size(masks: list[int], avail: int, size: int = 0, best: int = 0) -> int:
+    """``size`` plus the MIS size of the vertices in ``avail``, or ``best`` if larger.
+
+    Sizes only, no sets.  A vertex with at most one neighbour left is taken
+    without branching, since some maximum set contains it; paths and stars,
+    the closed forms of ``wire_table`` and the offset rule, need no branch.
+    """
+    while avail:
+        m = avail
+        pick, pick_degree = -1, 1
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            nbrs = masks[v] & avail
+            degree = nbrs.bit_count()
+            if degree <= 1:
+                avail &= ~(nbrs | low)
+                size += 1
+                break
+            if degree > pick_degree:
+                pick, pick_degree = v, degree
+            m ^= low
+        else:
+            if size + avail.bit_count() <= best:
+                return best
+            bit = 1 << pick
+            best = _mis_size(masks, avail & ~(masks[pick] | bit), size + 1, best)
+            return _mis_size(masks, avail & ~bit, size, best)
+    return size if size > best else best
+
+
+def _component_tables(
+    graph: AtomGraph, cap: int
+) -> tuple[dict[tuple[int, ...], list[int]], int, int]:
+    """MIS-size tables of the atoms left over once the data copies are clamped.
+
+    Needs twin copies (``_twin_copies``).  The atoms that are not data copies
+    split into connected components.  A component's MIS size depends only on
+    the variables whose copies it touches, so its table holds that size for
+    each assignment of them; entry s sets the k-th touched variable when bit
+    k of s is set.  Tables of components touching the same variables are
+    summed, and each variable's own copies enter as the table ``[0, copies]``.
+
+    Returns the tables keyed by the touched variables, the component count
+    and the largest component's atom count, which must not exceed ``cap``.
+    """
+    masks = _adjacency_masks(graph)
+    copies = [graph.var_copies[v] for v in range(graph.n_vars)]
+    reach = [masks[ids[0]] for ids in copies]
+    rest = (1 << graph.atom_count) - 1
+    for ids in copies:
+        for atom in ids:
+            rest ^= 1 << atom
+    components = []
+    while rest:
+        component, frontier = 0, rest & -rest
+        while frontier:
+            component |= frontier
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & rest & ~component
+        rest ^= component
+        components.append(component)
+    largest = max((c.bit_count() for c in components), default=0)
+    if largest > cap:
+        raise CapExceeded(f"exact search capped at {cap} atoms per component, got {largest}")
+
+    tables = {(v,): [0, len(ids)] for v, ids in enumerate(copies)}
+    for component in components:
+        touched = tuple(v for v, r in enumerate(reach) if r & component)
+        blocked = [0]  # entry s: the atoms next to the copies state s sets
+        for v in touched:
+            blocked += [b | reach[v] for b in blocked]
+        total = tables.setdefault(touched, [0] * len(blocked))
+        for state, b in enumerate(blocked):
+            total[state] += _mis_size(masks, component & ~b)
+    return tables, len(components), largest
+
+
+def _subset_sums(values: list[int], bits: int, sign: int = 1) -> None:
+    """For each bit k < ``bits``, add ``sign`` * values[s without k] to each values[s] with k.
+
+    In place.  With sign 1, values[s] becomes the sum of the inputs over the
+    subsets of s; sign -1 inverts that, splitting a table into per-subset terms.
+    """
+    for k in range(bits):
+        bit = 1 << k
+        for s in range(len(values)):
+            if s & bit:
+                values[s] += sign * values[s ^ bit]
+
+
+def _clamped_ground_set(graph: AtomGraph, cap: int) -> tuple[int, set[Assignment], int, int]:
+    """alpha(G) and every assignment x with alpha(G | x) = alpha(G).
+
+    alpha(G | x), the largest independent set holding exactly the copies of
+    the variables x sets, is the sum of one entry of each component table.
+    Each table is split into one term per subset of its variables, and those
+    terms are summed over the subsets of every x at once.  An x that sets
+    two variables with adjacent copies has no such set and is skipped.
+    Returns -alpha(G), the argmax, the component count and the largest
+    component's atom count.
+    """
+    tables, components, largest = _component_tables(graph, cap)
+    n = graph.n_vars
+    alphas = [0] * (1 << n)
+    for touched, table in tables.items():
+        terms = list(table)
+        _subset_sums(terms, len(touched), sign=-1)
+        subsets = [0]  # entry s: the variables state s sets, as a mask
+        for v in touched:
+            subsets += [x | 1 << v for x in subsets]
+        for x, term in zip(subsets, terms):
+            alphas[x] += term
+    _subset_sums(alphas, n)
+
+    # Twin copies: one copy of each variable stands for all of them.
+    first = [graph.var_copies[v][0] for v in range(n)]
+    for v in range(n):
+        for w in range(v):
+            if first[w] in graph.neighbors(first[v]):
+                pair = (1 << v) | (1 << w)
+                for x in range(1 << n):
+                    if x & pair == pair:
+                        alphas[x] = -1  # below alphas[0], so never the maximum
+    best = max(alphas)
+    decoded = {tuple(x >> v & 1 for v in range(n)) for x, a in enumerate(alphas) if a == best}
+    return -best, decoded, components, largest
+
+
+# ----------------------------------------------------------------------
 # Wire energy tables
 # ----------------------------------------------------------------------
 
@@ -302,23 +462,54 @@ def certify_equivalence(
 ) -> CertificateReport:
     """Check that the graph's decoded ground set equals ``brute_force_minima(q)``.
 
-    Every ground configuration is decoded; a decode inconsistency counts as
-    a certification failure rather than an exception.
+    The graph and the model choose how the ground set is found:
+
+    * hard blockade with twin data copies (every compiled graph): no ground
+      configuration splits a variable's copies, so ``inconsistent_configs``
+      is empty, and the decoded set is the argmax of alpha(G | x) over the
+      2^n assignments, tallied from per-component tables.  ``enum_cap``
+      bounds the atoms of the largest component;
+    * otherwise (soft penalty, or copies with different neighbourhoods):
+      every ground configuration is listed and decoded, and ``enum_cap``
+      bounds the whole graph's atoms.  A decode inconsistency counts as a
+      certification failure rather than an exception.
+
+    ``brute_cap`` is checked before any search.  Each call logs one DEBUG
+    record on the ``rydqubo`` logger: the path taken, the component count,
+    the largest component's atoms, the assignments tallied (on the listing
+    path: the ground configurations decoded, from one whole-graph component)
+    and the oracle's assignments.
     """
     if graph.n_vars != q.n:
         raise InputError(
             f"graph encodes {graph.n_vars} variables but the instance has {q.n}"
         )
-    energy, configs = enumerate_ground_configs(graph, model=model, cap=enum_cap)
-    decoded: set[Assignment] = set()
+    if q.n > brute_cap:
+        raise CapExceeded(f"brute force requested for n={q.n} above cap {brute_cap}")
     inconsistent: list[Config] = []
-    for config in configs:
-        assignment = try_decode(graph, config)
-        if assignment is None:
-            inconsistent.append(config)
-        else:
-            decoded.add(assignment)
+    hard = model is None or model.mode is InteractionMode.HARD_BLOCKADE
+    if hard and _twin_copies(graph):
+        path, assignments = "clamp", 1 << q.n
+        energy, decoded, components, largest = _clamped_ground_set(graph, enum_cap)
+    else:
+        energy, configs = enumerate_ground_configs(graph, model=model, cap=enum_cap)
+        path, assignments, components, largest = "listing", len(configs), 1, graph.atom_count
+        decoded = set()
+        for config in configs:
+            assignment = try_decode(graph, config)
+            if assignment is None:
+                inconsistent.append(config)
+            else:
+                decoded.add(assignment)
     min_value, argmin = brute_force_minima(q, cap=brute_cap)
+    # Until something loads logging no handler exists to take the record, so
+    # the package never loads it itself.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("rydqubo").debug(
+            "certify: path=%s components=%d largest=%d assignments=%d oracle=%d",
+            path, components, largest, assignments, 1 << q.n,
+        )
     expected = set(argmin)
     spurious = tuple(sorted(decoded - expected))
     missing = tuple(sorted(expected - decoded))

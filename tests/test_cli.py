@@ -144,6 +144,23 @@ class TestCertify:
         result = runner.invoke(main, ["certify", str(qubo)], env={"RYDQUBO_MAX_ATOMS": "3"})
         assert result.exit_code == 3, result.output
 
+    def test_six_variables_certify_at_the_default_search_cap(self, runner, tmp_path):
+        # 6 data atoms and 15 two-atom even wires: 36 atoms, above the default
+        # cap of 30, but no component left after clamping has more than 2.
+        qubo = tmp_path / "q6.json"
+        pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+        write_json(qubo, {
+            "n": 6,
+            "linear": {str(i): -1 for i in range(1, 7)},
+            "quadratic": [{"i": i, "j": j, "w": 1} for i, j in pairs],
+        })
+        result = runner.invoke(main, ["certify", str(qubo), "--json"], env={"RYDQUBO_ENUM_CAP": None})
+        assert result.exit_code == 0, result.output
+        # The minimum, -1, is taken by the 6 + 15 assignments setting one or two variables.
+        assert len(json.loads(result.output)["decoded"]) == 21
+        result = runner.invoke(main, ["certify", str(qubo), "--enum-cap", "1"])
+        assert result.exit_code == 3, result.output
+
     def test_mutated_graph_exits_1(self, runner, tmp_path):
         # Deleting one wire-terminal edge from the compiled LINK constraint
         # admits a spurious ground assignment.

@@ -1,20 +1,26 @@
 """Tests for exact ground-state enumeration, wire tables, certification, MWIS."""
 
+import logging
 import random
 import time
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 
+from rydqubo import solver
 from rydqubo.compiler import (
     AtomGraph,
     DataCopy,
     Parity,
+    WireAtom,
+    WireLengthPolicy,
     compile_qubo,
     try_decode,
 )
 from rydqubo.errors import CapExceeded, InputError
+from rydqubo.geometry import builtin_names, load_builtin_layout
 from rydqubo.qubo import QuboInstance
 from rydqubo.solver import (
     EnergyModel,
@@ -29,6 +35,7 @@ from rydqubo.solver import (
 
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
 F4 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): -1})
+SOFT = EnergyModel(delta=1, u=2, mode=InteractionMode.SOFT_PENALTY)
 
 
 def plain_graph(n, edges):
@@ -260,6 +267,167 @@ class TestCertify:
         report = certify_equivalence(q, compile_qubo(q))
         assert report.passed
         assert len(report.decoded) == 4
+
+    @pytest.mark.parametrize("model", [None, SOFT], ids=["hard", "soft"])
+    def test_variable_cap_precedes_the_ground_set_search(self, monkeypatch, model):
+        def search(*args, **kwargs):
+            raise AssertionError("the ground-set search ran before the variable cap")
+
+        monkeypatch.setattr(solver, "enumerate_ground_configs", search)
+        monkeypatch.setattr(solver, "_component_tables", search, raising=False)
+        q = QuboInstance(n=3, linear={0: -1, 1: 1}, quadratic={(0, 1): 1, (1, 2): -1})
+        with pytest.raises(CapExceeded):
+            certify_equivalence(q, compile_qubo(q), brute_cap=2, model=model)
+
+
+def listed(q, graph, **kwargs):
+    """The report of the listing path, which every graph can take."""
+    with mock.patch.object(solver, "_twin_copies", return_value=False):
+        return certify_equivalence(q, graph, **kwargs).to_dict()
+
+
+def assert_clamp_matches_listing(q, graph, enum_cap=64):
+    assert solver._twin_copies(graph)
+    clamped = certify_equivalence(q, graph, enum_cap=enum_cap).to_dict()
+    assert clamped == listed(q, graph, enum_cap=enum_cap)
+    assert clamped["inconsistent_configs"] == []
+
+
+def criterion_1_instances():
+    """The 125-instance grid and the 200 seeded instances of acceptance criterion 1."""
+    for q11, q22, q12 in product(range(-2, 3), repeat=3):
+        yield QuboInstance(n=2, linear={0: q11, 1: q22}, quadratic={(0, 1): q12})
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.choice((3, 4))
+        yield QuboInstance(
+            n=n,
+            linear={i: rng.randint(-2, 2) for i in range(n)},
+            quadratic={(i, j): rng.randint(-2, 2) for i in range(n) for j in range(i + 1, n)},
+        )
+
+
+def mis_qubo(weights, edges):
+    """QUBO whose argmin is the maximum weighted independent sets of the graph."""
+    penalty = sum(weights) + 1
+    return QuboInstance(
+        n=len(weights),
+        linear={v: -w for v, w in enumerate(weights)},
+        quadratic={tuple(sorted(e)): penalty for e in edges},
+    )
+
+
+class TestClampedCertify:
+    """The clamp path against the listing path it replaces on twin-copy graphs."""
+
+    def test_criterion_1_instances(self):
+        for q in criterion_1_instances():
+            assert_clamp_matches_listing(q, compile_qubo(q))
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_bundled_graphs(self, name):
+        graph, _ = load_builtin_layout(name)
+        if name == "G6P":
+            assert not solver._twin_copies(graph)
+        else:
+            assert_clamp_matches_listing(graph.source, graph)
+
+    def test_mwis_expansions(self):
+        rng = random.Random(8)
+        cases = [([1, 2, 1], [(0, 1), (1, 2)]), ([3, 1, 1], [(0, 1), (0, 2), (1, 2)])]
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+            cases.append(([rng.randint(1, 3) for _ in range(n)], edges))
+        for weights, edges in cases:
+            q, graph = mis_qubo(weights, edges), mwis_expand(weights, edges)
+            assert_clamp_matches_listing(q, graph)
+            assert certify_equivalence(q, graph).passed
+
+    @pytest.mark.parametrize("even, odd", [(4, 1), (2, 3), (6, 5)])
+    def test_longer_wires(self, even, odd):
+        policy = WireLengthPolicy(even_atoms=even, odd_atoms=odd)
+        rng = random.Random(even * 10 + odd)
+        for _ in range(15):
+            n = rng.randint(2, 3)
+            q = QuboInstance(
+                n=n,
+                linear={i: rng.randint(-2, 2) for i in range(n)},
+                quadratic={(i, j): rng.randint(-2, 2) for i in range(n) for j in range(i + 1, n)},
+            )
+            assert_clamp_matches_listing(q, compile_qubo(q, policy))
+
+    def test_hand_made_graph_with_adjacent_copies(self):
+        # x1 (two copies) and x2 are adjacent; one hub atom touches all three
+        # variables; a five-cycle of auxiliary atoms hangs off x3 and needs a
+        # branch in the size search.
+        roles = [DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1), DataCopy(2, 1)]
+        roles += [WireAtom(wire=0, chain_position=1)]
+        roles += [WireAtom(wire=1, chain_position=p) for p in range(1, 6)]
+        edges = [(0, 2), (1, 2), (4, 0), (4, 1), (4, 2), (4, 3)]
+        edges += [(5, 6), (6, 7), (7, 8), (8, 9), (9, 5), (3, 5)]
+        graph = AtomGraph(roles, edges)
+        tables, components, largest = solver._component_tables(graph, cap=64)
+        assert (components, largest) == (2, 5)
+        assert tables[(0, 1, 2)] == [1] + [0] * 7
+        for q in (
+            QuboInstance(n=3, linear={0: -2, 1: -1, 2: -1}),
+            QuboInstance(n=3, linear={0: -1, 1: -3, 2: 1}, quadratic={(0, 2): -1}),
+            QuboInstance(n=3),
+        ):
+            assert_clamp_matches_listing(q, graph)
+
+    def test_non_twin_copies_take_the_listing_path(self, caplog):
+        # Only the first copy of x1 touches x2, so a maximum set may split x1.
+        graph = AtomGraph([DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1)], [(0, 2)])
+        q = QuboInstance(n=2, linear={0: -2, 1: -1}, quadratic={(0, 1): 3})
+        assert not solver._twin_copies(graph)
+        with caplog.at_level(logging.DEBUG, logger="rydqubo"):
+            report = certify_equivalence(q, graph)
+        assert "path=listing" in caplog.records[-1].getMessage()
+        assert report.to_dict() == listed(q, graph)
+        assert report.inconsistent_configs == ((0, 1, 1),)
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "parity, m", [(Parity.EVEN, m) for m in (1, 2, 3)] + [(Parity.ODD, m) for m in (0, 1, 2, 3)]
+    )
+    def test_chain_tables_match_wire_table(self, parity, m):
+        if parity is Parity.EVEN:
+            q, policy = QuboInstance(n=2, quadratic={(0, 1): 1}), WireLengthPolicy(even_atoms=2 * m)
+        else:
+            q, policy = QuboInstance(n=2, quadratic={(0, 1): -1}), WireLengthPolicy(odd_atoms=2 * m + 1)
+        tables, _, largest = solver._component_tables(compile_qubo(q, policy), cap=64)
+        assert largest == (2 * m if parity is Parity.EVEN else 2 * m + 1)
+        # Entry s sets x1 on bit 0 and x2 on bit 1.
+        assert tables[(0, 1)] == [-wire_table(parity, m, (s & 1, s >> 1))[0] for s in range(4)]
+
+    @pytest.mark.parametrize("target", [0, 1, 2, 3])
+    def test_offset_star_table(self, target):
+        # One data atom with target + 1 offsets: alpha is target + 1 with the
+        # atom off and 1 (the atom itself) with it on.
+        graph = compile_qubo(QuboInstance(n=1, linear={0: target}))
+        tables, components, largest = solver._component_tables(graph, cap=64)
+        assert tables == {(0,): [target + 1, 1]}
+        assert (components, largest) == (target + 1, 1)
+
+    def test_size_search_matches_reference(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            g = random_plain_graph(rng, max_n=14)
+            everything = (1 << g.atom_count) - 1
+            size = solver._mis_size(solver._adjacency_masks(g), everything)
+            assert -size == enumerate_mis_reference(g)[0]
+
+    def test_one_debug_record_per_certification(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rydqubo"):
+            certify_equivalence(F3, compile_qubo(F3))
+            certify_equivalence(F3, compile_qubo(F3), model=SOFT)
+        messages = [r.getMessage() for r in caplog.records if r.name == "rydqubo"]
+        assert messages == [
+            "certify: path=clamp components=3 largest=2 assignments=4 oracle=4",
+            "certify: path=listing components=1 largest=7 assignments=1 oracle=4",
+        ]
 
 
 class TestMwis:
