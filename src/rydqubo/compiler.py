@@ -11,7 +11,8 @@ Four gadget kinds cover every integer cost function:
 * odd wires: a chain of 2M+1 atoms realises x_i + x_j - x_i*x_j, so each
   negative coupling unit also lowers both endpoint targets by one.
 
-``compile_qubo`` stitches these together; ``decode`` maps a measured atom
+``compile_qubo`` stitches these together into an ``AtomGraph``, whose one
+adjacency is a bitmask per atom; ``decode`` maps a measured atom
 configuration back to variable values by data-copy unanimity.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, GraphError, InputError, RydquboError
@@ -94,11 +96,21 @@ def _default_label(role: AtomRole, indexed: bool = True) -> str:
     return f"{stem}^({index})" if indexed else stem
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class AtomGraph:
     """Immutable atom graph with role annotations.
 
     Atom ids are the indices 0..atom_count-1 in declaration order; measured
-    bitstrings use the same order.  Construction validates the structural
+    bitstrings use the same order.  The adjacency is ``masks``: bit b of
+    ``masks[a]`` is set when atoms a and b share an edge.  ``neighbors`` and
+    ``edges`` are read off the masks.  Construction validates the structural
     invariants (offset attachment, chain contiguity, wire terminal adjacency,
     copy non-adjacency) and raises :class:`GraphError` on violation.
     """
@@ -111,26 +123,67 @@ class AtomGraph:
         source: QuboInstance | None = None,
         labels: Sequence[str] | None = None,
     ):
-        self.roles: tuple[AtomRole, ...] = tuple(roles)
-        n_atoms = len(self.roles)
-        normalized = set()
+        roles = tuple(roles)
+        n_atoms = len(roles)
+        masks = [0] * n_atoms
         for edge in edges:
             try:
                 a, b = edge
             except (TypeError, ValueError) as exc:
                 raise GraphError(f"edge {edge!r} is not a pair") from exc
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if type(a) is not int or type(b) is not int:
                 raise GraphError(f"edge {edge!r} has non-integer endpoints")
             if a == b:
                 raise GraphError(f"self-loop on atom {a}")
             if not (0 <= a < n_atoms and 0 <= b < n_atoms):
                 raise GraphError(f"edge ({a}, {b}) references a missing atom")
-            normalized.add((min(a, b), max(a, b)))
-        self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        self._setup(roles, masks, wires, source, labels)
+
+    @classmethod
+    def _from_masks(cls, roles: Sequence[AtomRole], masks: Sequence[int], **parts) -> AtomGraph:
+        """Graph from adjacency masks, as ``compile_qubo`` builds them.
+
+        ``__init__``'s per-edge checks are made on the masks (no self-loop,
+        no missing atom, every edge at both ends); ``parts`` and the
+        structural validation are as in ``__init__``.
+        """
+        roles = tuple(roles)
+        n_atoms = len(roles)
+        if len(masks) != n_atoms:
+            raise GraphError("mask count does not match atom count")
+        # Every bit above the diagonal must be mirrored below it; with equal
+        # counts on both sides no bit below it lacks its mirror either.
+        ends = upper = 0
+        for a, mask in enumerate(masks):
+            if mask >> a & 1:
+                raise GraphError(f"self-loop on atom {a}")
+            if mask >> n_atoms:  # also true for a negative mask
+                raise GraphError(f"atom {a} has an edge to a missing atom")
+            above = mask >> a
+            ends += mask.bit_count()
+            upper += above.bit_count()
+            while above:
+                low = above & -above
+                if not masks[a + low.bit_length() - 1] >> a & 1:
+                    raise GraphError("adjacency masks are not symmetric")
+                above ^= low
+        if ends != 2 * upper:
+            raise GraphError("adjacency masks are not symmetric")
+        graph = cls.__new__(cls)
+        graph._setup(roles, masks, **parts)
+        return graph
+
+    def _setup(self, roles, masks, wires=(), source=None, labels=None) -> None:
+        """Shared tail of both constructors: store the parts and validate."""
+        self.roles: tuple[AtomRole, ...] = roles
+        self.masks: tuple[int, ...] = tuple(masks)
+        n_atoms = len(roles)
         self.wires: tuple[WireDescriptor, ...] = tuple(wires)
         self.source = source
         if labels is None:
-            self.labels: tuple[str, ...] = tuple(_default_label(r) for r in self.roles)
+            self.labels: tuple[str, ...] = tuple(_default_label(r) for r in roles)
         else:
             self.labels = tuple(str(s) for s in labels)
             if len(self.labels) != n_atoms:
@@ -138,14 +191,8 @@ class AtomGraph:
         if len(set(self.labels)) != n_atoms:
             raise GraphError("atom labels must be unique")
 
-        adjacency: list[set[int]] = [set() for _ in range(n_atoms)]
-        for a, b in self.edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        self._adjacency = tuple(frozenset(s) for s in adjacency)
-
         copies: dict[int, list[int]] = {}
-        for atom, role in enumerate(self.roles):
+        for atom, role in enumerate(roles):
             if isinstance(role, DataCopy):
                 copies.setdefault(role.var, []).append(atom)
         self.var_copies: dict[int, tuple[int, ...]] = {
@@ -162,8 +209,13 @@ class AtomGraph:
     def atom_count(self) -> int:
         return len(self.roles)
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge once, as (a, b) with a < b."""
+        return frozenset((a, b) for a, m in enumerate(self.masks) for b in _bits(m >> a << a))
+
     def neighbors(self, atom: int) -> frozenset[int]:
-        return self._adjacency[atom]
+        return frozenset(_bits(self.masks[atom]))
 
     def af_pairs(self) -> tuple[tuple[int, int], ...]:
         """Edges joining two alternation-constrained atoms.
@@ -187,18 +239,20 @@ class AtomGraph:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
+        masks = self.masks
+        copy_masks = {v: sum(1 << a for a in ids) for v, ids in self.var_copies.items()}
         for v in range(self.n_vars):
             if v not in self.var_copies:
                 raise GraphError(f"variable {v} has no data copy")
 
         for atom, role in enumerate(self.roles):
             if isinstance(role, Offset):
-                nbrs = self._adjacency[atom]
-                if len(nbrs) != 1:
+                degree = masks[atom].bit_count()
+                if degree != 1:
                     raise GraphError(
-                        f"offset atom {atom} must have exactly one edge, has {len(nbrs)}"
+                        f"offset atom {atom} must have exactly one edge, has {degree}"
                     )
-                target_role = self.roles[next(iter(nbrs))]
+                target_role = self.roles[masks[atom].bit_length() - 1]
                 if not (isinstance(target_role, DataCopy) and target_role.var == role.var):
                     raise GraphError(
                         f"offset atom {atom} must attach to a data copy of its variable"
@@ -210,10 +264,10 @@ class AtomGraph:
 
         # Data copies of one variable never touch each other.
         for v, ids in self.var_copies.items():
-            for k, a in enumerate(ids):
-                for b in ids[k + 1 :]:
-                    if b in self._adjacency[a]:
-                        raise GraphError(f"data copies {a} and {b} of variable {v} are adjacent")
+            for a in ids:
+                if touching := masks[a] & copy_masks[v]:
+                    b = next(_bits(touching))
+                    raise GraphError(f"data copies {a} and {b} of variable {v} are adjacent")
 
         # Chains: contiguous positions, consecutive atoms adjacent, one kind per id.
         chains: dict[int, dict[int, int]] = {}
@@ -234,7 +288,7 @@ class AtomGraph:
             if sorted(positions) != list(range(1, length + 1)):
                 raise GraphError(f"wire {wire_id} positions are not contiguous from 1")
             for p in range(1, length):
-                if positions[p + 1] not in self._adjacency[positions[p]]:
+                if not masks[positions[p]] >> positions[p + 1] & 1:
                     raise GraphError(
                         f"wire {wire_id} atoms at positions {p} and {p + 1} are not adjacent"
                     )
@@ -261,18 +315,14 @@ class AtomGraph:
             for var in (i, j):
                 if var not in self.var_copies:
                     raise GraphError(f"wire {w.wire} endpoint variable {var} has no copies")
-            first = positions[1]
-            last = positions[w.length]
-            for copy in self.var_copies[i]:
-                if copy not in self._adjacency[first]:
-                    raise GraphError(
-                        f"wire {w.wire} head is not adjacent to every copy of variable {i}"
-                    )
-            for copy in self.var_copies[j]:
-                if copy not in self._adjacency[last]:
-                    raise GraphError(
-                        f"wire {w.wire} tail is not adjacent to every copy of variable {j}"
-                    )
+            if copy_masks[i] & ~masks[positions[1]]:
+                raise GraphError(
+                    f"wire {w.wire} head is not adjacent to every copy of variable {i}"
+                )
+            if copy_masks[j] & ~masks[positions[w.length]]:
+                raise GraphError(
+                    f"wire {w.wire} tail is not adjacent to every copy of variable {j}"
+                )
 
     # ------------------------------------------------------------------
     # Equality / serialisation
@@ -283,7 +333,7 @@ class AtomGraph:
             return NotImplemented
         return (
             self.roles == other.roles
-            and self.edges == other.edges
+            and self.masks == other.masks
             and self.wires == other.wires
             and self.labels == other.labels
             and self.source == other.source
@@ -386,17 +436,22 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
     wires = [wire_from_dict(entry) for entry in wire_entries]
     source = data.get("source")
     q = qubo_from_dict(source) if source is not None else None
-    try:
-        return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
-    except GraphError:
-        raise
-    except RydquboError as exc:
-        raise InputError(str(exc)) from exc
+    return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
 
 
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
+
+
+def _effective_targets(q: QuboInstance) -> list[int]:
+    """``effective_linear`` of every variable, in one pass over the couplings."""
+    targets = [q.linear.get(v, 0) for v in range(q.n)]
+    for (i, j), w in q.quadratic.items():
+        if w < 0:
+            targets[i] += w
+            targets[j] += w
+    return targets
 
 
 def effective_linear(q: QuboInstance, var: int) -> int:
@@ -408,11 +463,7 @@ def effective_linear(q: QuboInstance, var: int) -> int:
     """
     if not 0 <= var < q.n:
         raise InputError(f"variable {var} out of range [0, {q.n})")
-    target = q.linear.get(var, 0)
-    for (i, j), w in q.quadratic.items():
-        if w < 0 and (i == var or j == var):
-            target -= abs(w)
-    return target
+    return _effective_targets(q)[var]
 
 
 @dataclass(frozen=True)
@@ -436,10 +487,7 @@ class WireLengthPolicy:
 def planned_atom_count(q: QuboInstance, policy: WireLengthPolicy | None = None) -> int:
     """Atom budget of ``compile_qubo`` without building the graph."""
     policy = policy or WireLengthPolicy()
-    total = 0
-    for v in range(q.n):
-        t = effective_linear(q, v)
-        total += -t if t < 0 else t + 2
+    total = sum(-t if t < 0 else t + 2 for t in _effective_targets(q))
     for w in q.quadratic.values():
         total += w * policy.even_atoms if w > 0 else -w * policy.odd_atoms
     return total
@@ -472,24 +520,25 @@ def compile_qubo(
 
     roles: list[AtomRole] = []
     labels: list[str] = []
-    edges: set[tuple[int, int]] = set()
+    masks: list[int] = []  # bit b of masks[a]: atoms a and b share an edge
 
-    def add(group: list[AtomRole]) -> list[int]:
+    def add(group: list[AtomRole]) -> range:
         """Append one gadget's atoms; a one-atom gadget gets an unindexed label."""
         base = len(roles)
         roles.extend(group)
         labels.extend(_default_label(role, indexed=len(group) > 1) for role in group)
-        return list(range(base, base + len(group)))
+        masks.extend([0] * len(group))
+        return range(base, base + len(group))
 
-    copies: dict[int, list[int]] = {}
-    for v in range(q.n):
-        target = effective_linear(q, v)
+    copies: list[range] = []
+    for v, target in enumerate(_effective_targets(q)):
         if target < 0:
-            copies[v] = add([DataCopy(var=v, copy_index=k) for k in range(1, 1 - target)])
+            copies.append(add([DataCopy(var=v, copy_index=k) for k in range(1, 1 - target)]))
         else:
-            copies[v] = add([DataCopy(var=v, copy_index=1)])
-            offsets = add([Offset(var=v, offset_index=k) for k in range(1, target + 2)])
-            edges.update((copies[v][0], atom) for atom in offsets)
+            copies.append(add([DataCopy(var=v, copy_index=1)]))
+            for atom in add([Offset(var=v, offset_index=k) for k in range(1, target + 2)]):
+                masks[copies[v][0]] |= 1 << atom
+                masks[atom] |= 1 << copies[v][0]
 
     wires: list[WireDescriptor] = []
     for (i, j), weight in sorted(q.quadratic.items()):
@@ -500,14 +549,18 @@ def compile_qubo(
             # Even and odd units are the same chain; only the length differs.
             wire_id = len(wires)
             chain = add([WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1)])
-            edges.update(zip(chain, chain[1:]))
-            edges.update((copy, chain[0]) for copy in copies[i])
-            edges.update((copy, chain[-1]) for copy in copies[j])
+            for atom in chain[1:]:
+                masks[atom - 1] |= 1 << atom
+                masks[atom] |= 1 << atom - 1
+            for end, var in ((chain[0], i), (chain[-1], j)):
+                for copy in copies[var]:
+                    masks[copy] |= 1 << end
+                    masks[end] |= 1 << copy
             wires.append(
                 WireDescriptor(wire=wire_id, endpoints=(i, j), parity=parity, length=length)
             )
 
-    return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
+    return AtomGraph._from_masks(roles, masks, wires=wires, source=q, labels=labels)
 
 
 # ----------------------------------------------------------------------

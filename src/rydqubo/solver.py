@@ -6,6 +6,7 @@ the maximum independent sets.  Energies are reported in detuning units to
 keep degeneracy detection exact: hard-blockade energies are integers, the
 soft-penalty variant uses exact rationals.
 
+Every search reads the graph's adjacency bitmasks, ``AtomGraph.masks``.
 ``enumerate_ground_configs`` lists every ground configuration.
 ``certify_equivalence`` lists them only when it must.  When every variable's
 data copies share one neighbourhood (every compiled graph), no maximum set
@@ -25,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .compiler import AtomGraph, DataCopy, Parity, try_decode
+from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode
 from .errors import CapExceeded, InputError
 from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
 
@@ -68,19 +69,11 @@ class EnergyModel:
                 raise InputError(f"soft-penalty mode requires u > delta, got u={self.u}")
 
 
-def _adjacency_masks(graph: AtomGraph) -> list[int]:
-    masks = [0] * graph.atom_count
-    for a, b in graph.edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return masks
-
-
 def _config_from_mask(mask: int, n: int) -> Config:
     return tuple((mask >> k) & 1 for k in range(n))
 
 
-def _enumerate_mis_branch_and_bound(masks: list[int], n: int) -> tuple[int, list[int]]:
+def _enumerate_mis_branch_and_bound(masks: Sequence[int], n: int) -> tuple[int, list[int]]:
     """All maximum independent sets, as bitmasks.
 
     Branch and bound on the highest-degree remaining vertex; vertices that
@@ -146,20 +139,11 @@ def enumerate_mis_reference(
     n = graph.atom_count
     if n > cap:
         raise CapExceeded(f"reference enumeration capped at {cap} atoms, got {n}")
-    masks = _adjacency_masks(graph)
+    masks = graph.masks
     best = -1
     found: list[int] = []
     for m in range(1 << n):
-        ok = True
-        rest = m
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if masks[v] & m:
-                ok = False
-                break
-            rest ^= low
-        if not ok:
+        if any(masks[v] & m for v in _bits(m)):
             continue
         size = m.bit_count()
         if size > best:
@@ -211,8 +195,7 @@ def enumerate_ground_configs(
         return 0, ((),)
     if model.mode is InteractionMode.SOFT_PENALTY:
         return _soft_ground_configs(graph, model, cap)
-    masks = _adjacency_masks(graph)
-    size, sets = _enumerate_mis_branch_and_bound(masks, n)
+    size, sets = _enumerate_mis_branch_and_bound(graph.masks, n)
     configs = tuple(sorted(_config_from_mask(m, n) for m in sets))
     return -size, configs
 
@@ -228,14 +211,10 @@ def _twin_copies(graph: AtomGraph) -> bool:
     A maximum independent set then never splits a variable's copies: copies
     are mutually non-adjacent, so the missing ones could join the set.
     """
-    return all(
-        graph.neighbors(copy) == graph.neighbors(ids[0])
-        for ids in graph.var_copies.values()
-        for copy in ids[1:]
-    )
+    return all(len({graph.masks[a] for a in ids}) == 1 for ids in graph.var_copies.values())
 
 
-def _mis_size(masks: list[int], avail: int, size: int = 0, best: int = 0) -> int:
+def _mis_size(masks: Sequence[int], avail: int, size: int = 0, best: int = 0) -> int:
     """``size`` plus the MIS size of the vertices in ``avail``, or ``best`` if larger.
 
     Sizes only, no sets.  A vertex with at most one neighbour left is taken
@@ -281,7 +260,7 @@ def _component_tables(
     Returns the tables keyed by the touched variables, the component count
     and the largest component's atom count, which must not exceed ``cap``.
     """
-    masks = _adjacency_masks(graph)
+    masks = graph.masks
     copies = [graph.var_copies[v] for v in range(graph.n_vars)]
     reach = [masks[ids[0]] for ids in copies]
     rest = (1 << graph.atom_count) - 1
@@ -294,10 +273,8 @@ def _component_tables(
         while frontier:
             component |= frontier
             grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= masks[low.bit_length() - 1]
-                frontier ^= low
+            for v in _bits(frontier):
+                grown |= masks[v]
             frontier = grown & rest & ~component
         rest ^= component
         components.append(component)
@@ -358,7 +335,7 @@ def _clamped_ground_set(graph: AtomGraph, cap: int) -> tuple[int, set[Assignment
     first = [graph.var_copies[v][0] for v in range(n)]
     for v in range(n):
         for w in range(v):
-            if first[w] in graph.neighbors(first[v]):
+            if graph.masks[first[v]] >> first[w] & 1:
                 pair = (1 << v) | (1 << w)
                 for x in range(1 << n):
                     if x & pair == pair:

@@ -6,8 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from rydqubo.cli import main
-from rydqubo.compiler import graph_from_dict, try_decode
-from rydqubo.geometry import layout_to_dict, load_builtin_layout
+from rydqubo.compiler import AtomGraph, DataCopy, graph_from_dict, graph_to_dict, try_decode
+from rydqubo.geometry import Layout, layout_to_dict, load_builtin_layout
 
 F3_DOC = {"n": 2, "linear": {"1": -2, "2": 1}, "quadratic": [{"i": 1, "j": 2, "w": 1}]}
 F4_DOC = {"n": 2, "linear": {"1": -2, "2": 1}, "quadratic": [{"i": 1, "j": 2, "w": -1}]}
@@ -70,11 +70,17 @@ class TestCompile:
         write_json(qubo, {"n": 2, "linear": [1, 2]})
         result = runner.invoke(main, ["compile", str(qubo)])
         assert result.exit_code == 2, result.output
-        # Graph documents whose atoms lack a role or are not objects.
+        # Graph documents whose atoms lack a role or are not objects, and
+        # one whose edge names an atom by a JSON boolean.
         write_json(qubo, F3_DOC)
         graph = tmp_path / "graph.json"
-        for atoms in ([{"id": 0}], [7]):
-            write_json(graph, {"atoms": atoms, "edges": []})
+        two_atoms = [{"id": k, "role": {"kind": "data", "var": k + 1, "copy": 1}} for k in range(2)]
+        for doc in (
+            {"atoms": [{"id": 0}], "edges": []},
+            {"atoms": [7], "edges": []},
+            {"atoms": two_atoms, "edges": [[False, 1]]},
+        ):
+            write_json(graph, doc)
             result = runner.invoke(main, ["certify", str(qubo), str(graph)])
             assert result.exit_code == 2, result.output
             assert result.output.startswith("error: ")
@@ -292,6 +298,25 @@ class TestSimulate:
             ["simulate", "--builtin", "G7", "--steps", "10", "--cap", "10"],
         )
         assert result.exit_code == 3
+
+    def test_vdw_cap_precedes_the_couplings(self, runner, tmp_path, monkeypatch):
+        # vdW mode couples every pair; above the cap not one may be built.
+        def no_coupling(*args):
+            raise AssertionError("pair coupling built above the atom cap")
+
+        monkeypatch.setattr("rydqubo.sim.pair_interaction", no_coupling)
+        n = 17
+        graph = AtomGraph([DataCopy(var=v, copy_index=1) for v in range(n)], edges=[])
+        graph_path, layout_path = tmp_path / "graph.json", tmp_path / "layout.json"
+        write_json(graph_path, graph_to_dict(graph))
+        write_json(layout_path, layout_to_dict(Layout({a: (10.0 * a, 0.0) for a in range(n)})))
+        result = runner.invoke(
+            main,
+            ["simulate", str(graph_path), str(layout_path), "--mode", "vdw",
+             "--steps", "10", "-o", str(tmp_path / "d.csv")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "capped at 16 atoms, got 17" in result.output
 
 
 class TestDecodedArtifacts:

@@ -7,12 +7,14 @@ from itertools import product
 import pytest
 
 from rydqubo.compiler import (
+    AFConstraintAtom,
     AtomGraph,
     DataCopy,
     InconsistentCopies,
     Offset,
     Parity,
     WireAtom,
+    WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
     decode,
@@ -32,6 +34,30 @@ F6 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): -2})
 F7 = QuboInstance(
     n=3, linear={0: -2, 1: 1, 2: 2}, quadratic={(0, 1): 1, (0, 2): 1, (1, 2): -2}
 )
+
+
+def reference_masks(n_atoms, edges):
+    """Adjacency bitmasks built edge by edge: the reference for ``AtomGraph.masks``."""
+    masks = [0] * n_atoms
+    for a, b in edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
+def from_masks(roles, edges, **kwargs):
+    """``compile_qubo``'s constructor, fed the masks of an edge list."""
+    return AtomGraph._from_masks(roles, reference_masks(len(roles), edges), **kwargs)
+
+
+CONSTRUCTORS = {"edges": AtomGraph, "masks": from_masks}
+
+
+def assert_rejected(roles, edges, match=None, **kwargs):
+    """Both constructors raise GraphError on the same parts."""
+    for build in CONSTRUCTORS.values():
+        with pytest.raises(GraphError, match=match):
+            build(roles, edges, **kwargs)
 
 
 def random_instance(rng, n_range=(1, 4), coeff=2):
@@ -311,42 +337,158 @@ class TestDecode:
 class TestGraphValidation:
     def test_offset_needs_its_data_copy(self):
         roles = [DataCopy(0, 1), Offset(0, 1)]
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[])  # offset with no edge
+        assert_rejected(roles, edges=[], match="exactly one edge")  # offset with no edge
 
     def test_offset_cannot_attach_to_wire(self):
         roles = [DataCopy(0, 1), Offset(0, 1), WireAtom(0, 1)]
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[(1, 2), (0, 2)])
+        assert_rejected(roles, edges=[(1, 2), (0, 2)], match="attach to a data")
 
     def test_offset_rejected_on_multicopy_variable(self):
         roles = [DataCopy(0, 1), DataCopy(0, 2), Offset(0, 1)]
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[(0, 2)])
+        assert_rejected(roles, edges=[(0, 2)], match="multi-copy")
 
     def test_adjacent_copies_rejected(self):
         roles = [DataCopy(0, 1), DataCopy(0, 2)]
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[(0, 1)])
+        assert_rejected(roles, edges=[(0, 1)], match="are adjacent")
 
     def test_chain_gap_rejected(self):
         roles = [DataCopy(0, 1), WireAtom(0, 1), WireAtom(0, 3)]
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[(1, 2)])
+        assert_rejected(roles, edges=[(1, 2)], match="not contiguous")
 
     def test_chain_must_be_connected_in_order(self):
         roles = [DataCopy(0, 1), WireAtom(0, 1), WireAtom(0, 2)]
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[])
+        assert_rejected(roles, edges=[], match="not adjacent")
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError):
-            AtomGraph([DataCopy(0, 1)], edges=[(0, 0)])
+        assert_rejected([DataCopy(0, 1)], edges=[(0, 0)], match="self-loop")
 
     def test_missing_variable_rejected(self):
         roles = [DataCopy(1, 1)]  # variable 0 absent
-        with pytest.raises(GraphError):
-            AtomGraph(roles, edges=[])
+        assert_rejected(roles, edges=[], match="no data copy")
+
+
+# Two variables joined by one odd wire (atom 2) or one even wire (atoms 2, 3).
+PAIR = [DataCopy(0, 1), DataCopy(1, 1)]
+ODD = WireDescriptor(wire=0, endpoints=(0, 1), parity=Parity.ODD, length=1)
+EVEN = WireDescriptor(wire=0, endpoints=(0, 1), parity=Parity.EVEN, length=2)
+ODD_ROLES, ODD_EDGES = PAIR + [WireAtom(0, 1)], [(0, 2), (1, 2)]
+EVEN_ROLES, EVEN_EDGES = PAIR + [WireAtom(0, 1), WireAtom(0, 2)], [(0, 2), (2, 3), (1, 3)]
+
+# (roles, edges, keyword arguments, message): one structural check each, for
+# the checks TestGraphValidation does not already make.
+STRUCTURAL_CASES = {
+    "label-count": ([DataCopy(0, 1)], [], {"labels": ["a", "b"]}, "label count"),
+    "label-repeat": (PAIR, [], {"labels": ["a", "a"]}, "unique"),
+    "chain-repeat": (
+        [DataCopy(0, 1), WireAtom(0, 1), WireAtom(0, 1)],
+        [(1, 2)],
+        {"labels": ["x", "w", "v"]},
+        "duplicate chain",
+    ),
+    "chain-kinds": (
+        [DataCopy(0, 1), WireAtom(0, 1), AFConstraintAtom(0, 2)], [(1, 2)], {}, "mixes"
+    ),
+    "wire-repeat": (ODD_ROLES, ODD_EDGES, {"wires": [ODD, ODD]}, "duplicate wire"),
+    "wire-no-atoms": ([DataCopy(0, 1)], [], {"wires": [ODD]}, "has no atoms"),
+    "wire-on-constraint": (
+        PAIR + [AFConstraintAtom(0, 1)], ODD_EDGES, {"wires": [ODD]}, "constraint chain"
+    ),
+    "wire-length": (
+        ODD_ROLES, ODD_EDGES, {"wires": [WireDescriptor(0, (0, 1), Parity.ODD, 3)]}, "declares"
+    ),
+    "even-wire-parity": (
+        ODD_ROLES, ODD_EDGES, {"wires": [WireDescriptor(0, (0, 1), Parity.EVEN, 1)]}, "even wire"
+    ),
+    "odd-wire-parity": (
+        EVEN_ROLES, EVEN_EDGES, {"wires": [WireDescriptor(0, (0, 1), Parity.ODD, 2)]}, "odd wire"
+    ),
+    "wire-endpoint": (
+        [DataCopy(0, 1), WireAtom(0, 1)], [(0, 1)], {"wires": [ODD]}, "has no copies"
+    ),
+    "wire-head": (EVEN_ROLES, EVEN_EDGES[1:], {"wires": [EVEN]}, "head"),
+    "wire-tail": (EVEN_ROLES, EVEN_EDGES[:2], {"wires": [EVEN]}, "tail"),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+class TestStructuralChecks:
+    def test_the_unbroken_graphs_build(self, build):
+        build(ODD_ROLES, ODD_EDGES, wires=[ODD])
+        build(EVEN_ROLES, EVEN_EDGES, wires=[EVEN])
+
+    @pytest.mark.parametrize("case", STRUCTURAL_CASES)
+    def test_check_raises(self, build, case):
+        roles, edges, kwargs, message = STRUCTURAL_CASES[case]
+        with pytest.raises(GraphError, match=message):
+            build(roles, edges, **kwargs)
+
+
+class TestEdgeChecks:
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((0,), "not a pair"),
+            ((0.0, 1), "non-integer"),
+            ((False, 1), "non-integer"),
+            ((0, 0), "self-loop"),
+            ((0, 2), "missing atom"),
+        ],
+    )
+    def test_public_constructor(self, edge, message):
+        with pytest.raises(GraphError, match=message):
+            AtomGraph(PAIR, [edge])
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda m: m.__setitem__(0, m[0] | 1), "self-loop"),
+            (lambda m: m.__setitem__(0, m[0] | 1 << len(m)), "missing atom"),
+            (lambda m: m.__setitem__(0, -1 << len(m) | m[0]), "missing atom"),
+            (lambda m: m.__setitem__(0, m[0] | 1 << 1), "not symmetric"),  # 0 -> 1 only
+            (lambda m: m.__setitem__(1, m[1] | 1 << 0), "not symmetric"),  # 1 -> 0 only
+            (lambda m: m.pop(), "mask count"),
+        ],
+        ids=["self-loop", "past-count", "negative", "upper-only", "lower-only", "count"],
+    )
+    def test_mask_constructor(self, corrupt, message):
+        g = compile_qubo(F7)
+        assert not g.masks[0] >> 1 & 1  # atoms 0 and 1 are copies of x1
+        masks = list(g.masks)
+        corrupt(masks)
+        with pytest.raises(GraphError, match=message):
+            AtomGraph._from_masks(g.roles, masks, wires=g.wires, source=g.source, labels=g.labels)
+
+
+def mask_equivalence_instances():
+    """The criterion-1 grid and seeded 2-6 variable instances."""
+    out = [
+        QuboInstance(n=2, linear={0: a, 1: b}, quadratic={(0, 1): c})
+        for a, b, c in product(range(-2, 3), repeat=3)
+    ]
+    rng = random.Random(17)
+    out += [random_instance(rng, n_range=(2, 6)) for _ in range(60)]
+    return out
+
+
+POLICIES = {
+    "default": WireLengthPolicy(),
+    "even4": WireLengthPolicy(even_atoms=4, odd_atoms=1),
+    "odd3": WireLengthPolicy(even_atoms=2, odd_atoms=3),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+def test_compiled_masks_match_the_public_path(policy):
+    for q in mask_equivalence_instances():
+        g = compile_qubo(q, policy=policy)
+        assert list(g.masks) == reference_masks(g.atom_count, g.edges)
+        public = AtomGraph(g.roles, g.edges, wires=g.wires, source=g.source, labels=g.labels)
+        assert public == g and public.masks == g.masks and public.edges == g.edges
+        assert graph_from_dict(graph_to_dict(g)) == g
+        for atom in range(g.atom_count):
+            assert g.neighbors(atom) == {b for a, b in g.edges if a == atom} | {
+                a for a, b in g.edges if b == atom
+            }
 
 
 class TestGraphJson:

@@ -416,7 +416,7 @@ class TestClampedCertify:
         for _ in range(60):
             g = random_plain_graph(rng, max_n=14)
             everything = (1 << g.atom_count) - 1
-            size = solver._mis_size(solver._adjacency_masks(g), everything)
+            size = solver._mis_size(g.masks, everything)
             assert -size == enumerate_mis_reference(g)[0]
 
     def test_one_debug_record_per_certification(self, caplog):
