@@ -258,9 +258,7 @@ def cmd_simulate(
     schedule = PulseSchedule(total_time=total_time, omega0=omega0, delta_i=delta_i, delta_f=delta_f)
     params = PhysicalParams(omega=omega0, delta=delta_f)
     ham_mode = HamiltonianMode.IDEAL_BLOCKADE if mode == "ideal" else HamiltonianMode.FULL_VDW
-    if graph.atom_count > cap:  # before vdW mode builds its n(n-1)/2 couplings
-        raise CapExceeded(f"simulation capped at {cap} atoms, got {graph.atom_count}")
-    spec = build_hamiltonian(graph, params=params, mode=ham_mode, layout=layout, u0=u0)
+    spec = build_hamiltonian(graph, params=params, mode=ham_mode, layout=layout, u0=u0, cap=cap)
     state = evolve(spec, schedule, steps=steps, cap=cap)
     dist = measure_distribution(state, atom_labels=graph.labels)
     if postselect_af:

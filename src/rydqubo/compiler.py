@@ -139,47 +139,8 @@ class AtomGraph:
                 raise GraphError(f"edge ({a}, {b}) references a missing atom")
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        self._setup(roles, masks, wires, source, labels)
-
-    @classmethod
-    def _from_masks(cls, roles: Sequence[AtomRole], masks: Sequence[int], **parts) -> AtomGraph:
-        """Graph from adjacency masks, as ``compile_qubo`` builds them.
-
-        ``__init__``'s per-edge checks are made on the masks (no self-loop,
-        no missing atom, every edge at both ends); ``parts`` and the
-        structural validation are as in ``__init__``.
-        """
-        roles = tuple(roles)
-        n_atoms = len(roles)
-        if len(masks) != n_atoms:
-            raise GraphError("mask count does not match atom count")
-        # Every bit above the diagonal must be mirrored below it; with equal
-        # counts on both sides no bit below it lacks its mirror either.
-        ends = upper = 0
-        for a, mask in enumerate(masks):
-            if mask >> a & 1:
-                raise GraphError(f"self-loop on atom {a}")
-            if mask >> n_atoms:  # also true for a negative mask
-                raise GraphError(f"atom {a} has an edge to a missing atom")
-            above = mask >> a
-            ends += mask.bit_count()
-            upper += above.bit_count()
-            while above:
-                low = above & -above
-                if not masks[a + low.bit_length() - 1] >> a & 1:
-                    raise GraphError("adjacency masks are not symmetric")
-                above ^= low
-        if ends != 2 * upper:
-            raise GraphError("adjacency masks are not symmetric")
-        graph = cls.__new__(cls)
-        graph._setup(roles, masks, **parts)
-        return graph
-
-    def _setup(self, roles, masks, wires=(), source=None, labels=None) -> None:
-        """Shared tail of both constructors: store the parts and validate."""
         self.roles: tuple[AtomRole, ...] = roles
         self.masks: tuple[int, ...] = tuple(masks)
-        n_atoms = len(roles)
         self.wires: tuple[WireDescriptor, ...] = tuple(wires)
         self.source = source
         if labels is None:
@@ -520,14 +481,13 @@ def compile_qubo(
 
     roles: list[AtomRole] = []
     labels: list[str] = []
-    masks: list[int] = []  # bit b of masks[a]: atoms a and b share an edge
+    edges: list[tuple[int, int]] = []
 
     def add(group: list[AtomRole]) -> range:
         """Append one gadget's atoms; a one-atom gadget gets an unindexed label."""
         base = len(roles)
         roles.extend(group)
         labels.extend(_default_label(role, indexed=len(group) > 1) for role in group)
-        masks.extend([0] * len(group))
         return range(base, base + len(group))
 
     copies: list[range] = []
@@ -537,8 +497,7 @@ def compile_qubo(
         else:
             copies.append(add([DataCopy(var=v, copy_index=1)]))
             for atom in add([Offset(var=v, offset_index=k) for k in range(1, target + 2)]):
-                masks[copies[v][0]] |= 1 << atom
-                masks[atom] |= 1 << copies[v][0]
+                edges.append((copies[v][0], atom))
 
     wires: list[WireDescriptor] = []
     for (i, j), weight in sorted(q.quadratic.items()):
@@ -549,18 +508,14 @@ def compile_qubo(
             # Even and odd units are the same chain; only the length differs.
             wire_id = len(wires)
             chain = add([WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1)])
-            for atom in chain[1:]:
-                masks[atom - 1] |= 1 << atom
-                masks[atom] |= 1 << atom - 1
+            edges.extend((atom - 1, atom) for atom in chain[1:])
             for end, var in ((chain[0], i), (chain[-1], j)):
-                for copy in copies[var]:
-                    masks[copy] |= 1 << end
-                    masks[end] |= 1 << copy
+                edges.extend((copy, end) for copy in copies[var])
             wires.append(
                 WireDescriptor(wire=wire_id, endpoints=(i, j), parity=parity, length=length)
             )
 
-    return AtomGraph._from_masks(roles, masks, wires=wires, source=q, labels=labels)
+    return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
 
 
 # ----------------------------------------------------------------------

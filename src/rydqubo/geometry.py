@@ -209,7 +209,7 @@ def validate_unit_disk(
             min_pair = d if min_pair is None else min(min_pair, d)
             if d < min_spacing:
                 spacing_violations.append((a, b, d))
-            if graph.masks[a] >> b & 1:
+            if (a, b) in graph.edges:
                 max_edge = d if max_edge is None else max(max_edge, d)
                 if d > radius:
                     edge_violations.append((a, b, d))
@@ -336,7 +336,9 @@ def auto_layout(
         )
         return AutoLayoutResult(layout, report, 1)
 
-    edge_mask = np.array([[m >> b & 1 for b in range(n)] for m in graph.masks], dtype=bool)
+    edge_mask = np.zeros((n, n), dtype=bool)
+    for a, b in graph.edges:
+        edge_mask[a, b] = edge_mask[b, a] = True
     nonedge_mask = ~edge_mask & ~np.eye(n, dtype=bool)
 
     target = 0.95 * d_r

@@ -147,6 +147,11 @@ class HamiltonianSpec:
         object.__setattr__(self, "couplings", tuple(sorted(cleaned)))
 
 
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"simulation capped at {cap} atoms, got {n}")
+
+
 def build_hamiltonian(
     graph: AtomGraph,
     params: PhysicalParams | None = None,
@@ -154,12 +159,15 @@ def build_hamiltonian(
     layout: Layout | None = None,
     u0: float | None = None,
     detuning_weights: Sequence[float] | None = None,
+    cap: int = DEFAULT_SIM_CAP,
 ) -> HamiltonianSpec:
     """Interaction terms for ``graph``.
 
     Ideal-blockade mode puts a uniform strength (default ten times the
     final detuning) on declared edges only; full van der Waals mode needs a
     layout and couples every atom pair with c6/r^6, residual tails included.
+    It builds n(n-1)/2 couplings, so it refuses more than ``cap`` atoms, the
+    cap ``evolve`` applies, before building any.
     Integer ``detuning_weights`` larger than one realise weighted vertices.
     """
     params = params or PhysicalParams()
@@ -173,6 +181,7 @@ def build_hamiltonian(
         missing = [a for a in range(n) if a not in layout.positions]
         if missing:
             raise InputError(f"layout is missing atoms {missing}")
+        _check_cap(n, cap)
         couplings = []
         for a in range(n):
             for b in range(a + 1, n):
@@ -282,8 +291,7 @@ def evolve(
     """
     schedule = schedule or PulseSchedule()
     n = spec.n
-    if n > cap:
-        raise CapExceeded(f"simulation capped at {cap} atoms, got {n}")
+    _check_cap(n, cap)
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
 

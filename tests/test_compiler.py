@@ -45,21 +45,6 @@ def reference_masks(n_atoms, edges):
     return masks
 
 
-def from_masks(roles, edges, **kwargs):
-    """``compile_qubo``'s constructor, fed the masks of an edge list."""
-    return AtomGraph._from_masks(roles, reference_masks(len(roles), edges), **kwargs)
-
-
-CONSTRUCTORS = {"edges": AtomGraph, "masks": from_masks}
-
-
-def assert_rejected(roles, edges, match=None, **kwargs):
-    """Both constructors raise GraphError on the same parts."""
-    for build in CONSTRUCTORS.values():
-        with pytest.raises(GraphError, match=match):
-            build(roles, edges, **kwargs)
-
-
 def random_instance(rng, n_range=(1, 4), coeff=2):
     n = rng.randint(*n_range)
     return QuboInstance(
@@ -337,34 +322,42 @@ class TestDecode:
 class TestGraphValidation:
     def test_offset_needs_its_data_copy(self):
         roles = [DataCopy(0, 1), Offset(0, 1)]
-        assert_rejected(roles, edges=[], match="exactly one edge")  # offset with no edge
+        with pytest.raises(GraphError, match="exactly one edge"):
+            AtomGraph(roles, edges=[])  # offset with no edge
 
     def test_offset_cannot_attach_to_wire(self):
         roles = [DataCopy(0, 1), Offset(0, 1), WireAtom(0, 1)]
-        assert_rejected(roles, edges=[(1, 2), (0, 2)], match="attach to a data")
+        with pytest.raises(GraphError, match="attach to a data"):
+            AtomGraph(roles, edges=[(1, 2), (0, 2)])
 
     def test_offset_rejected_on_multicopy_variable(self):
         roles = [DataCopy(0, 1), DataCopy(0, 2), Offset(0, 1)]
-        assert_rejected(roles, edges=[(0, 2)], match="multi-copy")
+        with pytest.raises(GraphError, match="multi-copy"):
+            AtomGraph(roles, edges=[(0, 2)])
 
     def test_adjacent_copies_rejected(self):
         roles = [DataCopy(0, 1), DataCopy(0, 2)]
-        assert_rejected(roles, edges=[(0, 1)], match="are adjacent")
+        with pytest.raises(GraphError, match="are adjacent"):
+            AtomGraph(roles, edges=[(0, 1)])
 
     def test_chain_gap_rejected(self):
         roles = [DataCopy(0, 1), WireAtom(0, 1), WireAtom(0, 3)]
-        assert_rejected(roles, edges=[(1, 2)], match="not contiguous")
+        with pytest.raises(GraphError, match="not contiguous"):
+            AtomGraph(roles, edges=[(1, 2)])
 
     def test_chain_must_be_connected_in_order(self):
         roles = [DataCopy(0, 1), WireAtom(0, 1), WireAtom(0, 2)]
-        assert_rejected(roles, edges=[], match="not adjacent")
+        with pytest.raises(GraphError, match="not adjacent"):
+            AtomGraph(roles, edges=[])
 
     def test_self_loop_rejected(self):
-        assert_rejected([DataCopy(0, 1)], edges=[(0, 0)], match="self-loop")
+        with pytest.raises(GraphError, match="self-loop"):
+            AtomGraph([DataCopy(0, 1)], edges=[(0, 0)])
 
     def test_missing_variable_rejected(self):
         roles = [DataCopy(1, 1)]  # variable 0 absent
-        assert_rejected(roles, edges=[], match="no data copy")
+        with pytest.raises(GraphError, match="no data copy"):
+            AtomGraph(roles, edges=[])
 
 
 # Two variables joined by one odd wire (atom 2) or one even wire (atoms 2, 3).
@@ -410,53 +403,32 @@ STRUCTURAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
 class TestStructuralChecks:
-    def test_the_unbroken_graphs_build(self, build):
-        build(ODD_ROLES, ODD_EDGES, wires=[ODD])
-        build(EVEN_ROLES, EVEN_EDGES, wires=[EVEN])
+    def test_the_unbroken_graphs_build(self):
+        AtomGraph(ODD_ROLES, ODD_EDGES, wires=[ODD])
+        AtomGraph(EVEN_ROLES, EVEN_EDGES, wires=[EVEN])
 
     @pytest.mark.parametrize("case", STRUCTURAL_CASES)
-    def test_check_raises(self, build, case):
+    def test_check_raises(self, case):
         roles, edges, kwargs, message = STRUCTURAL_CASES[case]
         with pytest.raises(GraphError, match=message):
-            build(roles, edges, **kwargs)
+            AtomGraph(roles, edges, **kwargs)
 
 
-class TestEdgeChecks:
-    @pytest.mark.parametrize(
-        "edge, message",
-        [
-            ((0,), "not a pair"),
-            ((0.0, 1), "non-integer"),
-            ((False, 1), "non-integer"),
-            ((0, 0), "self-loop"),
-            ((0, 2), "missing atom"),
-        ],
-    )
-    def test_public_constructor(self, edge, message):
-        with pytest.raises(GraphError, match=message):
-            AtomGraph(PAIR, [edge])
-
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (lambda m: m.__setitem__(0, m[0] | 1), "self-loop"),
-            (lambda m: m.__setitem__(0, m[0] | 1 << len(m)), "missing atom"),
-            (lambda m: m.__setitem__(0, -1 << len(m) | m[0]), "missing atom"),
-            (lambda m: m.__setitem__(0, m[0] | 1 << 1), "not symmetric"),  # 0 -> 1 only
-            (lambda m: m.__setitem__(1, m[1] | 1 << 0), "not symmetric"),  # 1 -> 0 only
-            (lambda m: m.pop(), "mask count"),
-        ],
-        ids=["self-loop", "past-count", "negative", "upper-only", "lower-only", "count"],
-    )
-    def test_mask_constructor(self, corrupt, message):
-        g = compile_qubo(F7)
-        assert not g.masks[0] >> 1 & 1  # atoms 0 and 1 are copies of x1
-        masks = list(g.masks)
-        corrupt(masks)
-        with pytest.raises(GraphError, match=message):
-            AtomGraph._from_masks(g.roles, masks, wires=g.wires, source=g.source, labels=g.labels)
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0,), "not a pair"),
+        ((0.0, 1), "non-integer"),
+        ((False, 1), "non-integer"),
+        ((0, 0), "self-loop"),
+        ((0, 2), "missing atom"),
+    ],
+    ids=["not-pair", "float", "bool", "self-loop", "missing-atom"],
+)
+def test_edge_checks(edge, message):
+    with pytest.raises(GraphError, match=message):
+        AtomGraph(PAIR, [edge])
 
 
 def mask_equivalence_instances():
@@ -478,7 +450,7 @@ POLICIES = {
 
 
 @pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
-def test_compiled_masks_match_the_public_path(policy):
+def test_compiled_masks_match_their_edges(policy):
     for q in mask_equivalence_instances():
         g = compile_qubo(q, policy=policy)
         assert list(g.masks) == reference_masks(g.atom_count, g.edges)

@@ -138,6 +138,15 @@ class TestBuildHamiltonian:
         assert far[(1, 2)] == pytest.approx(1023e3 / 15.2**6, rel=1e-9)
         assert far[(1, 2)] == pytest.approx(0.083, abs=0.002)
 
+    def test_full_vdw_cap_precedes_the_couplings(self, monkeypatch):
+        def no_coupling(*args):
+            raise AssertionError("pair coupling built above the atom cap")
+
+        monkeypatch.setattr(sim, "pair_interaction", no_coupling)
+        g, layout = load_builtin_layout("G4")
+        with pytest.raises(CapExceeded, match=f"capped at 3 atoms, got {g.atom_count}"):
+            build_hamiltonian(g, mode=HamiltonianMode.FULL_VDW, layout=layout, cap=3)
+
     def test_full_vdw_requires_layout(self):
         g, _ = load_builtin_layout("G4")
         with pytest.raises(InputError):
