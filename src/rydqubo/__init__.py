@@ -46,8 +46,6 @@ from .compiler import (
 )
 from .solver import (
     CertificateReport,
-    EnergyModel,
-    InteractionMode,
     certify_equivalence,
     config_satisfies_af,
     enumerate_ground_configs,

@@ -200,6 +200,11 @@ class AtomGraph:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
+        # An offset must attach to a copy of its own variable, so checking
+        # the copies' variables covers offsets too.
+        for v in self.var_copies:
+            if type(v) is not int or v < 0:
+                raise GraphError(f"data copies have variable index {v!r}, not an int >= 0")
         masks = self.masks
         copy_masks = {v: sum(1 << a for a in ids) for v, ids in self.var_copies.items()}
         for v in range(self.n_vars):
@@ -317,17 +322,26 @@ def _role_to_dict(role: AtomRole) -> dict:
     return {"kind": "af", "wire": role.wire, "position": role.chain_position}
 
 
+def _int_field(data: Mapping, key: str, least: int | None = None) -> int:
+    """``data[key]``, which must be a JSON integer (not a float or boolean) >= ``least``."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
 def role_from_dict(data: Mapping) -> AtomRole:
     try:
         kind = data["kind"]
         if kind == "data":
-            return DataCopy(var=int(data["var"]) - 1, copy_index=int(data["copy"]))
+            return DataCopy(var=_int_field(data, "var", 1) - 1, copy_index=_int_field(data, "copy"))
         if kind == "offset":
-            return Offset(var=int(data["var"]) - 1, offset_index=int(data["index"]))
-        if kind == "wire":
-            return WireAtom(wire=int(data["wire"]), chain_position=int(data["position"]))
-        if kind == "af":
-            return AFConstraintAtom(wire=int(data["wire"]), chain_position=int(data["position"]))
+            return Offset(var=_int_field(data, "var", 1) - 1, offset_index=_int_field(data, "index"))
+        if kind in ("wire", "af"):
+            chain = WireAtom if kind == "wire" else AFConstraintAtom
+            return chain(wire=_int_field(data, "wire"), chain_position=_int_field(data, "position"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed atom role: {data!r}") from exc
     raise InputError(f"unknown atom role kind: {data!r}")
@@ -365,10 +379,10 @@ def wire_from_dict(data: Mapping) -> WireDescriptor:
     """Parse one wire descriptor; endpoints are 1-based in this format."""
     try:
         return WireDescriptor(
-            wire=int(data["id"]),
-            endpoints=(int(data["i"]) - 1, int(data["j"]) - 1),
+            wire=_int_field(data, "id"),
+            endpoints=(_int_field(data, "i", 1) - 1, _int_field(data, "j", 1) - 1),
             parity=Parity(data["parity"]),
-            length=int(data["length"]),
+            length=_int_field(data, "length"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed wire descriptor: {data!r}") from exc

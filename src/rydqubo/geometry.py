@@ -61,6 +61,8 @@ class Layout:
     def __post_init__(self) -> None:
         cleaned: dict[int, tuple[float, float]] = {}
         for atom, pos in dict(self.positions).items():
+            if type(atom) is not int:
+                raise InputError(f"atom id {atom!r} is not an integer")
             try:
                 x, y = pos
                 x, y = float(x), float(y)
@@ -68,7 +70,7 @@ class Layout:
                 raise InputError(f"position of atom {atom!r} is not an (x, y) pair") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InputError(f"position of atom {atom!r} is not finite: {pos!r}")
-            cleaned[int(atom)] = (x, y)
+            cleaned[atom] = (x, y)
         self.positions = cleaned
 
     def distance(self, a: int, b: int) -> float:
@@ -89,7 +91,7 @@ def layout_to_dict(layout: Layout) -> dict:
 def layout_from_dict(data: Mapping) -> Layout:
     try:
         entries = data["positions"]
-        return Layout({int(e["id"]): (float(e["x"]), float(e["y"])) for e in entries})
+        return Layout({e["id"]: (float(e["x"]), float(e["y"])) for e in entries})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed layout document: {exc}") from exc
 

@@ -128,8 +128,8 @@ class HamiltonianSpec:
     detuning_weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"atom count must be positive, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise InputError(f"atom count must be a positive integer, got {self.n!r}")
         weights = self.detuning_weights or tuple(1.0 for _ in range(self.n))
         weights = tuple(float(w) for w in weights)
         if len(weights) != self.n:
@@ -139,7 +139,7 @@ class HamiltonianSpec:
         object.__setattr__(self, "detuning_weights", weights)
         cleaned = []
         for a, b, u in self.couplings:
-            if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
+            if type(a) is not int or type(b) is not int or not (0 <= a < self.n and 0 <= b < self.n) or a == b:
                 raise InputError(f"coupling ({a}, {b}) is not a valid pair")
             if not (math.isfinite(u) and u >= 0):
                 raise InputError(f"coupling ({a}, {b}) strength must be finite and nonnegative, got {u}")

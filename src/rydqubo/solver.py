@@ -3,8 +3,10 @@
 With the drive off and detuning positive, low energy means many excited
 atoms and no excited blockaded pair, so ground configurations are exactly
 the maximum independent sets.  Energies are reported in detuning units to
-keep degeneracy detection exact: hard-blockade energies are integers, the
-soft-penalty variant uses exact rationals.
+keep degeneracy detection exact: every ground energy is an integer.  Hard
+blockade is the only model: a finite pair penalty u > delta has the same
+ground set, since de-exciting one atom of an excited blockaded pair lowers
+the energy.
 
 Every search reads the graph's adjacency bitmasks, ``AtomGraph.masks``.
 ``enumerate_ground_configs`` lists every ground configuration.
@@ -22,8 +24,6 @@ import json
 import operator
 import sys
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode
@@ -35,38 +35,6 @@ REFERENCE_ENUM_CAP = 25
 
 Config = tuple[int, ...]
 """One bit per atom, index position = atom id."""
-
-
-class InteractionMode(Enum):
-    HARD_BLOCKADE = "hard"
-    SOFT_PENALTY = "soft"
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    """Diagonal energy rules: detuning gain ``delta`` vs pair penalty ``u``.
-
-    Hard blockade forbids excited neighbours outright; the soft variant
-    charges ``u`` per violated edge and requires 0 < delta < u, the regime
-    in which both agree (tested, not assumed).
-    """
-
-    delta: Fraction = Fraction(1)
-    u: Fraction | None = None
-    mode: InteractionMode = InteractionMode.HARD_BLOCKADE
-
-    def __post_init__(self) -> None:
-        delta = Fraction(self.delta)
-        object.__setattr__(self, "delta", delta)
-        if delta <= 0:
-            raise InputError(f"delta must be positive, got {delta}")
-        if self.u is not None:
-            object.__setattr__(self, "u", Fraction(self.u))
-        if self.mode is InteractionMode.SOFT_PENALTY:
-            if self.u is None:
-                raise InputError("soft-penalty mode requires an interaction strength u")
-            if not self.u > delta:
-                raise InputError(f"soft-penalty mode requires u > delta, got u={self.u}")
 
 
 def _config_from_mask(mask: int, n: int) -> Config:
@@ -155,46 +123,19 @@ def enumerate_mis_reference(
     return -best, configs
 
 
-def _soft_ground_configs(
-    graph: AtomGraph, model: EnergyModel, cap: int
-) -> tuple[Fraction, tuple[Config, ...]]:
-    """Exhaustive sweep minimising  u * violations - delta * excitations.
-
-    Scores are integers p*v - q*c with u/delta = p/q, so degeneracy is exact.
-    The sweep visits all 2^n configurations, so it is held to the brute-force
-    cap as well as ``cap``.
-    """
-    assert model.u is not None
-    ratio = model.u / model.delta
-    p, q = ratio.numerator, ratio.denominator
-    scores = QuboInstance(
-        graph.atom_count,
-        linear={k: -q for k in range(graph.atom_count)},
-        quadratic={edge: p for edge in graph.edges},
-    )
-    best, configs = brute_force_minima(scores, cap=min(cap, DEFAULT_BRUTE_FORCE_CAP))
-    return Fraction(best, q), configs
-
-
 def enumerate_ground_configs(
-    graph: AtomGraph,
-    model: EnergyModel | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[int | Fraction, tuple[Config, ...]]:
+    graph: AtomGraph, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[int, tuple[Config, ...]]:
     """All minimum-energy atom configurations of ``graph``.
 
-    Hard blockade returns every maximum independent set with energy
-    ``-|MIS|`` in delta units; soft penalty minimises the full diagonal
-    sum.  Results are canonically sorted and deterministic.
+    These are the maximum independent sets, with energy ``-|MIS|`` in delta
+    units.  Results are canonically sorted and deterministic.
     """
-    model = model or EnergyModel()
     n = graph.atom_count
     if n > cap:
         raise CapExceeded(f"exact search capped at {cap} atoms, got {n}")
     if n == 0:
         return 0, ((),)
-    if model.mode is InteractionMode.SOFT_PENALTY:
-        return _soft_ground_configs(graph, model, cap)
     size, sets = _enumerate_mis_branch_and_bound(graph.masks, n)
     configs = tuple(sorted(_config_from_mask(m, n) for m in sets))
     return -size, configs
@@ -403,7 +344,7 @@ class CertificateReport:
     """Outcome of checking a graph's decoded ground set against the oracle."""
 
     passed: bool
-    ground_energy: int | Fraction
+    ground_energy: int
     qubo_min_value: int
     decoded: tuple[Assignment, ...]
     expected: tuple[Assignment, ...]
@@ -412,12 +353,9 @@ class CertificateReport:
     inconsistent_configs: tuple[Config, ...]
 
     def to_dict(self) -> dict:
-        energy = self.ground_energy
         return {
             "pass": self.passed,
-            "ground_energy_delta_units": (
-                int(energy) if isinstance(energy, int) else [energy.numerator, energy.denominator]
-            ),
+            "ground_energy_delta_units": self.ground_energy,
             "qubo_min_value": self.qubo_min_value,
             "decoded": [list(a) for a in self.decoded],
             "expected": [list(a) for a in self.expected],
@@ -435,21 +373,20 @@ def certify_equivalence(
     graph: AtomGraph,
     enum_cap: int = DEFAULT_ENUM_CAP,
     brute_cap: int = DEFAULT_BRUTE_FORCE_CAP,
-    model: EnergyModel | None = None,
 ) -> CertificateReport:
     """Check that the graph's decoded ground set equals ``brute_force_minima(q)``.
 
-    The graph and the model choose how the ground set is found:
+    The graph alone chooses how the ground set is found:
 
-    * hard blockade with twin data copies (every compiled graph): no ground
-      configuration splits a variable's copies, so ``inconsistent_configs``
-      is empty, and the decoded set is the argmax of alpha(G | x) over the
-      2^n assignments, tallied from per-component tables.  ``enum_cap``
-      bounds the atoms of the largest component;
-    * otherwise (soft penalty, or copies with different neighbourhoods):
-      every ground configuration is listed and decoded, and ``enum_cap``
-      bounds the whole graph's atoms.  A decode inconsistency counts as a
-      certification failure rather than an exception.
+    * twin data copies (every compiled graph): no ground configuration
+      splits a variable's copies, so ``inconsistent_configs`` is empty, and
+      the decoded set is the argmax of alpha(G | x) over the 2^n
+      assignments, tallied from per-component tables.  ``enum_cap`` bounds
+      the atoms of the largest component;
+    * copies with different neighbourhoods: every ground configuration is
+      listed and decoded, and ``enum_cap`` bounds the whole graph's atoms.
+      A decode inconsistency counts as a certification failure rather than
+      an exception.
 
     ``brute_cap`` is checked before any search.  Each call logs one DEBUG
     record on the ``rydqubo`` logger: the path taken, the component count,
@@ -464,12 +401,11 @@ def certify_equivalence(
     if q.n > brute_cap:
         raise CapExceeded(f"brute force requested for n={q.n} above cap {brute_cap}")
     inconsistent: list[Config] = []
-    hard = model is None or model.mode is InteractionMode.HARD_BLOCKADE
-    if hard and _twin_copies(graph):
+    if _twin_copies(graph):
         path, assignments = "clamp", 1 << q.n
         energy, decoded, components, largest = _clamped_ground_set(graph, enum_cap)
     else:
-        energy, configs = enumerate_ground_configs(graph, model=model, cap=enum_cap)
+        energy, configs = enumerate_ground_configs(graph, cap=enum_cap)
         path, assignments, components, largest = "listing", len(configs), 1, graph.atom_count
         decoded = set()
         for config in configs:
@@ -557,8 +493,8 @@ def mwis_expand(
             a, b = edge
         except (TypeError, ValueError) as exc:
             raise InputError(f"edge {edge!r} is not a pair") from exc
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise InputError(f"edge ({a}, {b}) is not valid for {n} vertices")
+        if type(a) is not int or type(b) is not int or not (0 <= a < n and 0 <= b < n) or a == b:
+            raise InputError(f"edge {edge!r} is not valid for {n} vertices")
         for ca in copy_ids[a]:
             for cb in copy_ids[b]:
                 out_edges.add((min(ca, cb), max(ca, cb)))

@@ -70,20 +70,45 @@ class TestCompile:
         write_json(qubo, {"n": 2, "linear": [1, 2]})
         result = runner.invoke(main, ["compile", str(qubo)])
         assert result.exit_code == 2, result.output
-        # Graph documents whose atoms lack a role or are not objects, and
-        # one whose edge names an atom by a JSON boolean.
+        # Graph documents whose atoms lack a role or are not objects, one
+        # whose edge names an atom by a JSON boolean, and ones whose role or
+        # wire fields are not JSON integers or name variable 0 (1-based).
         write_json(qubo, F3_DOC)
         graph = tmp_path / "graph.json"
         two_atoms = [{"id": k, "role": {"kind": "data", "var": k + 1, "copy": 1}} for k in range(2)]
+        wire = {"id": 2, "role": {"kind": "wire", "wire": 0, "position": 1}}
+        odd_wire = {"id": 0, "parity": "odd", "i": 1, "j": 2, "length": 1}
+
+        def atom(var):
+            return {"id": 2, "role": {"kind": "data", "var": var, "copy": 2}}
+
         for doc in (
             {"atoms": [{"id": 0}], "edges": []},
             {"atoms": [7], "edges": []},
             {"atoms": two_atoms, "edges": [[False, 1]]},
+            {"atoms": two_atoms + [atom(1.9)], "edges": []},
+            {"atoms": two_atoms + [atom(True)], "edges": []},
+            {"atoms": two_atoms + [atom(0)], "edges": []},
+            {"atoms": two_atoms + [wire], "edges": [[0, 2], [1, 2]], "wires": [odd_wire | {"i": 1.9}]},
+            {"atoms": two_atoms + [wire], "edges": [[0, 2], [1, 2]], "wires": [odd_wire | {"length": True}]},
         ):
             write_json(graph, doc)
             result = runner.invoke(main, ["certify", str(qubo), str(graph)])
-            assert result.exit_code == 2, result.output
-            assert result.output.startswith("error: ")
+            assert result.exit_code == 2, (doc, result.output)
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        # A one-variable instance against a graph with an extra atom of variable 0.
+        write_json(qubo, {"n": 1, "linear": {"1": -1}})
+        write_json(graph, {"atoms": two_atoms[:1] + [atom(0) | {"id": 1}], "edges": []})
+        result = runner.invoke(main, ["certify", str(qubo), str(graph)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        # A layout whose atom id is not an integer.
+        write_json(graph, {"atoms": two_atoms, "edges": []})
+        layout = tmp_path / "layout.json"
+        write_json(layout, {"positions": [{"id": 0, "x": 0, "y": 0}, {"id": 1.7, "x": 20, "y": 0}]})
+        result = runner.invoke(main, ["validate", str(graph), str(layout)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
         # NaN fails every comparison, so it must be rejected before any check
         # or sweep runs; G4's non-edges at 10.75 um lie inside a 20 um radius.
         dist = str(tmp_path / "d.csv")

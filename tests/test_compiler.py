@@ -400,6 +400,10 @@ STRUCTURAL_CASES = {
     ),
     "wire-head": (EVEN_ROLES, EVEN_EDGES[1:], {"wires": [EVEN]}, "head"),
     "wire-tail": (EVEN_ROLES, EVEN_EDGES[:2], {"wires": [EVEN]}, "tail"),
+    "negative-copy": (PAIR + [DataCopy(-1, 1)], [], {}, "variable index -1"),
+    "negative-offset": ([DataCopy(0, 1), Offset(-1, 1)], [(0, 1)], {}, "of its variable"),
+    "float-copy": ([DataCopy(0.5, 1)], [], {}, "variable index 0.5"),
+    "bool-copy": ([DataCopy(0, 1), DataCopy(True, 1)], [], {}, "variable index True"),
 }
 
 

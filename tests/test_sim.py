@@ -162,6 +162,12 @@ class TestBuildHamiltonian:
             HamiltonianSpec(n=2, couplings=((0, 0, 1.0),))
         with pytest.raises(InputError):
             HamiltonianSpec(n=2, couplings=((0, 1, -1.0),))
+        for a, b in ((0.5, 1), (True, 0), (0, 1.0)):
+            with pytest.raises(InputError, match="not a valid pair"):
+                HamiltonianSpec(n=2, couplings=((a, b, 1.0),))
+        for n in (0, 2.5, True):
+            with pytest.raises(InputError, match="positive integer"):
+                HamiltonianSpec(n=n)
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 HamiltonianSpec(n=2, couplings=((0, 1, bad),))

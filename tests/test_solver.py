@@ -2,7 +2,6 @@
 
 import logging
 import random
-import time
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -21,10 +20,8 @@ from rydqubo.compiler import (
 )
 from rydqubo.errors import CapExceeded, InputError
 from rydqubo.geometry import builtin_names, load_builtin_layout
-from rydqubo.qubo import QuboInstance
+from rydqubo.qubo import QuboInstance, brute_force_minima
 from rydqubo.solver import (
-    EnergyModel,
-    InteractionMode,
     certify_equivalence,
     config_satisfies_af,
     enumerate_ground_configs,
@@ -35,7 +32,6 @@ from rydqubo.solver import (
 
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
 F4 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): -1})
-SOFT = EnergyModel(delta=1, u=2, mode=InteractionMode.SOFT_PENALTY)
 
 
 def plain_graph(n, edges):
@@ -99,46 +95,56 @@ class TestEnumerate:
             assert enumerate_ground_configs(g) == enumerate_mis_reference(g)
 
 
+def penalty_minima(graph, ratio):
+    """Ground energy, in delta units, and ground set of a finite pair penalty.
+
+    The energy u * (excited edges) - delta * (excited atoms) with
+    u/delta = p/s is the QUBO with -s on every atom and p on every edge,
+    scaled by s/delta, so its integer minimum over s is exact.
+    """
+    ratio = Fraction(ratio)
+    p, s = ratio.numerator, ratio.denominator
+    scores = QuboInstance(
+        graph.atom_count,
+        linear={k: -s for k in range(graph.atom_count)},
+        quadratic={edge: p for edge in graph.edges},
+    )
+    best, configs = brute_force_minima(scores)
+    return Fraction(best, s), configs
+
+
 class TestSoftPenalty:
-    def test_model_invariants(self):
-        with pytest.raises(InputError):
-            EnergyModel(delta=0)
-        with pytest.raises(InputError):
-            EnergyModel(mode=InteractionMode.SOFT_PENALTY)  # u missing
-        with pytest.raises(InputError):
-            EnergyModel(delta=2, u=1, mode=InteractionMode.SOFT_PENALTY)
+    """Why hard blockade is the only diagonal model.
+
+    With u > delta, de-exciting one atom of an excited blockaded pair
+    changes the energy by delta - k * u < 0 for some k >= 1, so every ground
+    configuration of the penalty is independent and its ground set is the
+    MIS set.
+    """
 
     def test_agrees_with_hard_blockade_above_the_bound(self):
         rng = random.Random(17)
         for _ in range(15):
             g = random_plain_graph(rng, max_n=9)
-            hard_energy, hard_configs = enumerate_ground_configs(g)
-            model = EnergyModel(
-                delta=1,
-                u=g.atom_count + 1,  # u > delta * |V|
-                mode=InteractionMode.SOFT_PENALTY,
-            )
-            soft_energy, soft_configs = enumerate_ground_configs(g, model)
-            assert soft_configs == hard_configs
-            assert soft_energy == hard_energy
+            expected = enumerate_mis_reference(g)
+            for ratio in (Fraction(7, 6), Fraction(3, 2), 2, g.atom_count + 1):
+                assert penalty_minima(g, ratio) == expected, (g.edges, ratio)
 
     def test_fractional_energies_are_exact(self):
+        # delta = 3, u = 7/2: one excited atom, energy -delta, i.e. -1 in delta units.
         g = plain_graph(2, [(0, 1)])
-        model = EnergyModel(delta=Fraction(3), u=Fraction(7, 2), mode=InteractionMode.SOFT_PENALTY)
-        energy, configs = enumerate_ground_configs(g, model)
-        # one excited atom: energy -delta, i.e. -1 in delta units
+        energy, configs = penalty_minima(g, Fraction(7, 2) / 3)
+        assert (energy, configs) == enumerate_mis_reference(g)
         assert energy == -1
         assert set(configs) == {(1, 0), (0, 1)}
 
-    def test_sweep_is_held_to_the_brute_force_cap(self):
-        # 25 atoms pass the search cap but not the brute-force cap that bounds
-        # the 2^n soft sweep, so the call fails before sweeping anything.
-        g = plain_graph(25, [(k, k + 1) for k in range(24)])
-        model = EnergyModel(delta=1, u=2, mode=InteractionMode.SOFT_PENALTY)
-        started = time.monotonic()
-        with pytest.raises(CapExceeded):
-            enumerate_ground_configs(g, model)
-        assert time.monotonic() - started < 1.0
+    def test_the_bound_is_needed(self):
+        # At u = delta, exciting both atoms of an edge costs what the second
+        # excitation gains, so a blockade violation reaches the ground energy.
+        g = plain_graph(2, [(0, 1)])
+        energy, configs = penalty_minima(g, 1)
+        assert energy == enumerate_mis_reference(g)[0] == -1
+        assert configs == ((0, 1), (1, 0), (1, 1))
 
 
 class TestWireTable:
@@ -268,16 +274,17 @@ class TestCertify:
         assert report.passed
         assert len(report.decoded) == 4
 
-    @pytest.mark.parametrize("model", [None, SOFT], ids=["hard", "soft"])
-    def test_variable_cap_precedes_the_ground_set_search(self, monkeypatch, model):
+    @pytest.mark.parametrize("twins", [True, False], ids=["clamp", "listing"])
+    def test_variable_cap_precedes_the_ground_set_search(self, monkeypatch, twins):
         def search(*args, **kwargs):
             raise AssertionError("the ground-set search ran before the variable cap")
 
         monkeypatch.setattr(solver, "enumerate_ground_configs", search)
-        monkeypatch.setattr(solver, "_component_tables", search, raising=False)
+        monkeypatch.setattr(solver, "_component_tables", search)
+        monkeypatch.setattr(solver, "_twin_copies", lambda graph: twins)
         q = QuboInstance(n=3, linear={0: -1, 1: 1}, quadratic={(0, 1): 1, (1, 2): -1})
         with pytest.raises(CapExceeded):
-            certify_equivalence(q, compile_qubo(q), brute_cap=2, model=model)
+            certify_equivalence(q, compile_qubo(q), brute_cap=2)
 
 
 def listed(q, graph, **kwargs):
@@ -420,13 +427,16 @@ class TestClampedCertify:
             assert -size == enumerate_mis_reference(g)[0]
 
     def test_one_debug_record_per_certification(self, caplog):
+        # The second graph's copies of x1 are not twins, so it is listed: two
+        # maximum sets, one of which splits x1.
+        split = AtomGraph([DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1)], [(0, 2)])
         with caplog.at_level(logging.DEBUG, logger="rydqubo"):
             certify_equivalence(F3, compile_qubo(F3))
-            certify_equivalence(F3, compile_qubo(F3), model=SOFT)
+            certify_equivalence(F3, split)
         messages = [r.getMessage() for r in caplog.records if r.name == "rydqubo"]
         assert messages == [
             "certify: path=clamp components=3 largest=2 assignments=4 oracle=4",
-            "certify: path=listing components=1 largest=7 assignments=1 oracle=4",
+            "certify: path=listing components=1 largest=3 assignments=2 oracle=4",
         ]
 
 
@@ -468,8 +478,11 @@ class TestMwis:
             mwis_expand([1, 0], [(0, 1)])
 
     def test_bad_edge_rejected(self):
-        with pytest.raises(InputError):
-            mwis_expand([1, 1], [(0, 2)])
+        # Endpoints must be ints in range: 0.5 and 1.0 are no vertex index,
+        # and True is not vertex 1.
+        for edge in ((0, 2), (0.5, 1), (True, 0), (0, 1.0)):
+            with pytest.raises(InputError, match="not valid"):
+                mwis_expand([1, 1], [edge])
 
 
 class TestAfFilter:
