@@ -201,7 +201,8 @@ class AtomGraph:
 
     def _validate(self) -> None:
         # An offset must attach to a copy of its own variable, so checking
-        # the copies' variables covers offsets too.
+        # the copies' variables covers offsets too, once an offset's index
+        # is itself an int: False == 0 would match a copy of variable 0.
         for v in self.var_copies:
             if type(v) is not int or v < 0:
                 raise GraphError(f"data copies have variable index {v!r}, not an int >= 0")
@@ -213,6 +214,8 @@ class AtomGraph:
 
         for atom, role in enumerate(self.roles):
             if isinstance(role, Offset):
+                if type(role.var) is not int:
+                    raise GraphError(f"offset atom {atom} has variable index {role.var!r}, not an int")
                 degree = masks[atom].bit_count()
                 if degree != 1:
                     raise GraphError(

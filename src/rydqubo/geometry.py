@@ -78,6 +78,15 @@ class Layout:
         xb, yb = self.positions[b]
         return math.hypot(xa - xb, ya - yb)
 
+    def check_atoms(self, n: int) -> None:
+        """Raise InputError unless the layout places exactly atoms 0..n-1."""
+        missing = [a for a in range(n) if a not in self.positions]
+        if missing:
+            raise InputError(f"layout is missing atoms {missing}")
+        extra = sorted(a for a in self.positions if not 0 <= a < n)
+        if extra:
+            raise InputError(f"layout places atoms {extra} that the graph does not have")
+
 
 def layout_to_dict(layout: Layout) -> dict:
     return {
@@ -195,9 +204,7 @@ def validate_unit_disk(
         raise InputError(f"d_r must be finite and positive, got {radius}")
     if not (math.isfinite(margin) and margin >= 0):
         raise InputError(f"margin must be finite and nonnegative, got {margin}")
-    missing = [a for a in range(graph.atom_count) if a not in layout.positions]
-    if missing:
-        raise InputError(f"layout is missing atoms {missing}")
+    layout.check_atoms(graph.atom_count)
 
     edge_violations = []
     nonedge_violations = []

@@ -16,6 +16,9 @@ near-equal blocks of at most five, and each block's Kronecker product of 2x2
 rotations acts as one matrix product on the state viewed as a
 (2^s, rest) matrix.  Each product also cycles the block's axes to the end, so
 after the last block the state is back in atom order without a transpose.
+The sweep runs in chunks of steps, each building every stage's rotations
+and block products in one vectorised pass, so the loop over stages only
+multiplies; a chunk stores at most ``_CHUNK_ENTRIES`` complex entries.
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
@@ -27,8 +30,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +45,11 @@ from .geometry import Layout, PhysicalParams, pair_interaction
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
 # Atoms per Kronecker block of the rotation kernel: a 32x32 block keeps the
-# gather small while one matrix product replaces five axis passes.
+# stored products small while one matrix product replaces five axis passes.
 _BLOCK_ATOMS = 5
+# Steps are swept in chunks whose stored blocks hold at most this many complex
+# entries (4 MiB), whatever the step count.
+_CHUNK_ENTRIES = 1 << 18
 _TWO_PI = 2.0 * math.pi
 
 # Fourth-order (triple-jump) composition coefficients for symmetric steps.
@@ -131,6 +139,8 @@ class HamiltonianSpec:
         if type(self.n) is not int or self.n < 1:
             raise InputError(f"atom count must be a positive integer, got {self.n!r}")
         weights = self.detuning_weights or tuple(1.0 for _ in range(self.n))
+        if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights):
+            raise InputError(f"detuning_weights must be real numbers, got {weights!r}")
         weights = tuple(float(w) for w in weights)
         if len(weights) != self.n:
             raise InputError("detuning_weights length must equal the atom count")
@@ -178,9 +188,7 @@ def build_hamiltonian(
     elif mode is HamiltonianMode.FULL_VDW:
         if layout is None:
             raise InputError("full van der Waals mode requires a layout")
-        missing = [a for a in range(n) if a not in layout.positions]
-        if missing:
-            raise InputError(f"layout is missing atoms {missing}")
+        layout.check_atoms(n)
         _check_cap(n, cap)
         couplings = []
         for a in range(n):
@@ -215,17 +223,22 @@ def diagonal_energy(spec: HamiltonianSpec, delta: float, bits: Sequence[int] | s
     return energy
 
 
-def _rotation(a: float, b: float) -> tuple[complex, complex, complex, complex]:
-    """Row-major entries of exp(-i (a sx - 2 b n)), a symmetric 2x2 matrix.
+def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i (a sx - 2 b n)) for each entry of ``b``, shape b.shape + (2, 2).
 
-    For one atom over a duration d, a = pi d Omega and b = pi d Delta w.
+    For one atom over a stage of duration d, a = pi d Omega and
+    b = pi d Delta w; ``a`` broadcasts against ``b``.  Each matrix is
+    symmetric.
     """
-    phi = math.hypot(a, b)
-    s = math.sin(phi) / phi if phi else 1.0
-    c = math.cos(phi)
-    phase = complex(math.cos(b), math.sin(b))
-    off = phase * complex(0.0, -a * s)
-    return phase * complex(c, -b * s), off, off, phase * complex(c, b * s)
+    phi = np.hypot(a, b)
+    s = np.divide(np.sin(phi), phi, out=np.ones_like(phi), where=phi != 0)
+    c = np.cos(phi)
+    phase = np.cos(b) + 1j * np.sin(b)
+    rot = np.empty(phi.shape + (2, 2), dtype=np.complex128)
+    rot[..., 0, 0] = phase * (c - 1j * (b * s))
+    rot[..., 0, 1] = rot[..., 1, 0] = phase * (-1j * (a * s))
+    rot[..., 1, 1] = phase * (c + 1j * (b * s))
+    return rot
 
 
 def _block_sizes(n: int) -> list[int]:
@@ -235,41 +248,31 @@ def _block_sizes(n: int) -> list[int]:
     return [base + 1] * extra + [base] * (count - extra)
 
 
-def _block_index_tables(group: Sequence[int]) -> list[np.ndarray]:
-    """Gather tables that build each block's Kronecker product of rotations.
+def _kron_stages(rot: np.ndarray, key: Sequence[int]) -> np.ndarray:
+    """Kronecker product of the rotations of weight groups ``key``, per stage.
 
-    The table of a block of s atoms has shape (s, 2^s, 2^s); entry [k, i, j]
-    points at element (bit k of i, bit k of j) of the rotation of the block's
-    k-th atom, in a flat vector holding the row-major 2x2 rotation of each
-    weight group.  Bit k counts from the most significant end, matching the
-    state's axes.
+    ``rot`` has shape (stages, weights, 2, 2); the result has shape
+    (stages, 2^s, 2^s), with the first factor as the most significant bit,
+    matching the state's axes.
     """
-    tables = []
-    start = 0
-    for s in _block_sizes(len(group)):
-        shift = np.arange(s - 1, -1, -1)[:, None]
-        bits = (np.arange(1 << s)[None, :] >> shift) & 1
-        offsets = 4 * np.asarray(group[start:start + s])[:, None, None]
-        tables.append(offsets + 2 * bits[:, :, None] + bits[:, None, :])
-        start += s
-    return tables
+    out = rot[:, key[0]]
+    for g in key[1:]:
+        m = 2 * out.shape[1]
+        out = (out[:, :, None, :, None] * rot[:, g, None, :, None, :]).reshape(-1, m, m)
+    return out
 
 
-def _apply_rotations(
-    psi: np.ndarray, flat: np.ndarray, tables: Sequence[np.ndarray]
-) -> np.ndarray:
+def _apply_blocks(psi: np.ndarray, blocks: Sequence[np.ndarray], stage: int) -> np.ndarray:
     """Product of per-atom symmetric 2x2 rotations; returns the new state.
 
-    Each block's 2^s x 2^s matrix is the Kronecker product of its atoms'
-    rotations, gathered from ``flat`` through the block's index table.  With
-    the block's atoms as the leading axes, ``psi.reshape(2^s, -1).T @ block``
-    applies it (the product is symmetric) and moves those axes to the end.
-    The block sizes sum to n, so after the last block the axes are back in
-    order.
+    ``blocks[k][stage]`` is the Kronecker product of the rotations of block
+    k's atoms.  With the block's atoms as the leading axes,
+    ``psi.reshape(2^s, -1).T @ block`` applies it (the product is symmetric)
+    and moves those axes to the end.  The block sizes sum to n, so after the
+    last block the axes are back in order.
     """
-    for table in tables:
-        block = flat[table].prod(axis=0)
-        psi = psi.reshape(block.shape[0], -1).T @ block
+    for block in blocks:
+        psi = psi.reshape(block.shape[1], -1).T @ block[stage]
     return psi.reshape(-1)
 
 
@@ -292,13 +295,19 @@ def evolve(
     schedule = schedule or PulseSchedule()
     n = spec.n
     _check_cap(n, cap)
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
+    if type(steps) is not int or steps < 1:
+        raise InputError(f"steps must be an integer >= 1, got {steps!r}")
+    if not (math.isfinite(norm_tol) and norm_tol > 0):
+        raise InputError(f"norm_tol must be finite and positive, got {norm_tol!r}")
 
-    # Atoms of equal weight share one rotation per stage.
+    # Atoms of equal weight share one rotation per stage, and blocks of
+    # equal weight groups share one array of Kronecker products.
     weights = sorted(set(spec.detuning_weights))
     group = [weights.index(w) for w in spec.detuning_weights]
-    tables = _block_index_tables(group)
+    keys = [tuple(group[a:b]) for a, b in pairwise(accumulate(_block_sizes(n), initial=0))]
+    distinct = set(keys)
+    # Three stages per step.
+    chunk = max(1, _CHUNK_ENTRIES // (3 * sum(4 ** len(key) for key in distinct)))
 
     h = schedule.total_time / steps
     d1, d2, d3 = _W1 * h, _W0 * h, _W1 * h
@@ -308,31 +317,46 @@ def evolve(
     u_half = np.exp(-1j * _TWO_PI * (d1 / 2.0) * interaction)
     u_merged = np.exp(-1j * _TWO_PI * ((d1 + d2) / 2.0) * interaction)
 
+    def stage_blocks(begin: int, end: int) -> list[np.ndarray]:
+        """Each block's Kronecker products for every stage of steps [begin, end)."""
+        values = [
+            schedule.value(t)
+            for t0 in (step * h for step in range(begin, end))
+            for t in (t0 + 0.5 * d1, t0 + d1 + 0.5 * d2, t0 + d1 + d2 + 0.5 * d3)
+        ]
+        omega, delta = np.array(values, dtype=float).T
+        durations = np.tile((d1, d2, d3), end - begin)
+        rot = _rotations(
+            (math.pi * omega * durations)[:, None],
+            (math.pi * delta)[:, None] * np.array(weights) * durations[:, None],
+        )
+        built = {key: _kron_stages(rot, key) for key in distinct}
+        return [built[key] for key in keys]
+
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
 
-    def rotate(psi: np.ndarray, t: float, d: float) -> np.ndarray:
-        omega, delta = schedule.value(t)
-        a = math.pi * omega * d
-        flat = np.array([_rotation(a, math.pi * delta * w * d) for w in weights]).reshape(-1)
-        return _apply_rotations(psi, flat, tables)
-
     check_every = max(1, steps // 40)
-    for step in range(steps):
-        t0 = step * h
-        psi *= u_half
-        psi = rotate(psi, t0 + 0.5 * d1, d1)
-        psi *= u_merged
-        psi = rotate(psi, t0 + d1 + 0.5 * d2, d2)
-        psi *= u_merged
-        psi = rotate(psi, t0 + d1 + d2 + 0.5 * d3, d3)
-        psi *= u_half
-        if step % check_every == 0 or step == steps - 1:
-            norm = math.sqrt(float(np.vdot(psi, psi).real))
-            if not (abs(norm - 1.0) <= norm_tol):
-                raise SimulationError(
-                    f"norm drifted to {norm} at step {step}; reduce the step size"
-                )
+    for begin in range(0, steps, chunk):
+        end = min(begin + chunk, steps)
+        blocks = stage_blocks(begin, end)
+        for step in range(begin, end):
+            stage = 3 * (step - begin)
+            psi *= u_half
+            psi = _apply_blocks(psi, blocks, stage)
+            psi *= u_merged
+            psi = _apply_blocks(psi, blocks, stage + 1)
+            psi *= u_merged
+            psi = _apply_blocks(psi, blocks, stage + 2)
+            psi *= u_half
+            if step % check_every == 0 or step == steps - 1:
+                norm = math.sqrt(float(np.vdot(psi, psi).real))
+                if not (abs(norm - 1.0) <= norm_tol):
+                    raise SimulationError(
+                        f"norm drifted to {norm} at step {step}; reduce the step size"
+                    )
+        # Free this chunk's blocks before the next chunk builds its own.
+        del blocks
     return psi
 
 

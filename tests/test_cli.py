@@ -109,6 +109,17 @@ class TestCompile:
         result = runner.invoke(main, ["validate", str(graph), str(layout)])
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        # A layout that places an id the graph lacks, 1 um from atom 0.
+        positions = [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 20, "y": 0}, {"id": 5, "x": 1, "y": 0}]
+        write_json(layout, {"positions": positions})
+        for args in (
+            ["validate", str(graph), str(layout)],
+            ["simulate", str(graph), str(layout), "--mode", "vdw", "--steps", "10",
+             "-o", str(tmp_path / "d.csv")],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert result.output == "error: layout places atoms [5] that the graph does not have\n"
         # NaN fails every comparison, so it must be rejected before any check
         # or sweep runs; G4's non-edges at 10.75 um lie inside a 20 um radius.
         dist = str(tmp_path / "d.csv")

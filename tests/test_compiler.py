@@ -404,6 +404,8 @@ STRUCTURAL_CASES = {
     "negative-offset": ([DataCopy(0, 1), Offset(-1, 1)], [(0, 1)], {}, "of its variable"),
     "float-copy": ([DataCopy(0.5, 1)], [], {}, "variable index 0.5"),
     "bool-copy": ([DataCopy(0, 1), DataCopy(True, 1)], [], {}, "variable index True"),
+    "bool-offset": ([DataCopy(0, 0), Offset(False, 0)], [(0, 1)], {}, "variable index False"),
+    "float-offset": ([DataCopy(0, 0), Offset(0.0, 0)], [(0, 1)], {}, "variable index 0.0"),
 }
 
 

@@ -256,6 +256,14 @@ class TestValidation:
         with pytest.raises(InputError):
             validate_unit_disk(graph, Layout({0: (0.0, 0.0)}), REFERENCE_PARAMS)
 
+    @pytest.mark.parametrize("extra", [5, 2, -5])
+    def test_layout_atom_the_graph_lacks(self, extra):
+        # An unknown id 1 um from atom 0 would break the layout if it were an atom.
+        graph = AtomGraph([DataCopy(0, 1), DataCopy(1, 1)], edges=[])
+        layout = Layout({0: (0.0, 0.0), 1: (20.0, 0.0), extra: (1.0, 0.0)})
+        with pytest.raises(InputError, match=f"places atoms \\[{extra}\\]"):
+            validate_unit_disk(graph, layout, REFERENCE_PARAMS)
+
     def test_non_finite_coordinates_rejected(self):
         # NaN compares False with every radius, so it must not reach the audit.
         _, layout = load_builtin_layout("G3")

@@ -1,13 +1,14 @@
 """Tests for the pulse schedule, Hamiltonian assembly, and propagation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rydqubo.compiler import compile_qubo, try_decode
 from rydqubo.errors import CapExceeded, EmptySelection, InputError, SimulationError
-from rydqubo.geometry import PhysicalParams, load_builtin_layout
+from rydqubo.geometry import Layout, PhysicalParams, load_builtin_layout
 from rydqubo.qubo import QuboInstance
 from rydqubo.sim import (
     ConstantSchedule,
@@ -63,13 +64,34 @@ def apply_rotations_reference(psi_nd, rotations):
         psi_nd[sl1] = nb
 
 
-def reference_rotations_kernel(psi, flat, tables):
-    """``sim._apply_rotations`` computed by the reference kernel instead."""
-    group = np.concatenate([table[:, 0, 0] // 4 for table in tables])
-    out = psi.copy()
-    rotations = [flat[4 * g:4 * g + 4] for g in group]
-    apply_rotations_reference(out.reshape((2,) * len(group)), rotations)
-    return out
+def reference_rotation(a, b):
+    """exp(-i (a sx - 2 b n)) by diagonalising the 2x2 generator: the reference rotation."""
+    energies, vectors = np.linalg.eigh(np.array([[0.0, a], [a, -2.0 * b]]))
+    return vectors @ np.diag(np.exp(-1j * energies)) @ vectors.T
+
+
+def reference_sweep(spec, schedule, steps):
+    """The triple-jump split sweep of ``evolve``, one stage and one axis at a time."""
+    n = spec.n
+    energy = np.array([diagonal_energy(spec, 0.0, format(i, f"0{n}b")) for i in range(1 << n)])
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    h = schedule.total_time / steps
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[0] = 1.0
+    for step in range(steps):
+        t = step * h
+        for d in (w1 * h, (1.0 - 2.0 * w1) * h, w1 * h):
+            half = np.exp(-1j * math.pi * d * energy)
+            omega, delta = schedule.value(t + d / 2)
+            psi *= half
+            rotations = [
+                reference_rotation(math.pi * omega * d, math.pi * delta * w * d).ravel()
+                for w in spec.detuning_weights
+            ]
+            apply_rotations_reference(psi.reshape((2,) * n), rotations)
+            psi *= half
+            t += d
+    return psi
 
 
 class TestSchedule:
@@ -152,6 +174,12 @@ class TestBuildHamiltonian:
         with pytest.raises(InputError):
             build_hamiltonian(g, mode=HamiltonianMode.FULL_VDW)
 
+    def test_full_vdw_rejects_atoms_the_graph_lacks(self):
+        g, _ = load_builtin_layout("G1")
+        layout = Layout({0: (0.0, 0.0), 1: (20.0, 0.0), 5: (1.0, 0.0)})
+        with pytest.raises(InputError, match="places atoms \\[5\\]"):
+            build_hamiltonian(g, mode=HamiltonianMode.FULL_VDW, layout=layout)
+
     def test_weighted_detunings(self):
         g, _ = load_builtin_layout("G1")
         spec = build_hamiltonian(g, detuning_weights=(1.0, 2.0))
@@ -173,6 +201,14 @@ class TestBuildHamiltonian:
                 HamiltonianSpec(n=2, couplings=((0, 1, bad),))
             with pytest.raises(InputError):
                 HamiltonianSpec(n=2, detuning_weights=(1.0, bad))
+        for bad in (True, np.bool_(False), "2", None):
+            with pytest.raises(InputError, match="must be real numbers"):
+                HamiltonianSpec(n=2, detuning_weights=(bad, 1.0))
+        g, _ = load_builtin_layout("G1")
+        with pytest.raises(InputError, match="must be real numbers"):
+            build_hamiltonian(g, detuning_weights=(1.0, True))
+        spec = HamiltonianSpec(n=3, detuning_weights=(np.float64(1.5), np.int64(2), 3))
+        assert spec.detuning_weights == (1.5, 2.0, 3.0)
 
 
 class TestOperator:
@@ -300,6 +336,19 @@ class TestEvolve:
         with pytest.raises(CapExceeded):
             evolve(spec, PulseSchedule(), steps=10, cap=2)
 
+    def test_invalid_arguments_fail_before_any_allocation(self, monkeypatch):
+        def no_allocation(spec):
+            raise AssertionError("state allocated before the arguments were checked")
+
+        monkeypatch.setattr(sim, "_interaction_energy", no_allocation)
+        spec = HamiltonianSpec(n=2)
+        for steps in (2.5, True, 0, -3, "10"):
+            with pytest.raises(InputError, match="steps must be an integer"):
+                evolve(spec, PulseSchedule(), steps=steps)
+        for tol in (math.nan, math.inf, 0.0, -1e-6):
+            with pytest.raises(InputError, match="norm_tol must be finite and positive"):
+                evolve(spec, PulseSchedule(), steps=10, norm_tol=tol)
+
     def test_final_diagonal_energy_matches_the_energy_model(self):
         # With the drive off at the end, the modal bitstring's energy must
         # equal the diagonal model exactly.
@@ -335,30 +384,90 @@ class TestRotationKernel:
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
             assert max(sizes) <= sim._BLOCK_ATOMS
 
+    def test_rotations_match_the_matrix_exponential(self):
+        rng = np.random.default_rng(7)
+        a = np.concatenate([[0.0, 0.0, 0.3], rng.uniform(-2.0, 2.0, size=40)])
+        b = np.concatenate([[0.0, 0.4, 0.0], rng.uniform(-2.0, 2.0, size=40)])
+        got = sim._rotations(a, b)
+        assert got.shape == (len(a), 2, 2)
+        for k in range(len(a)):
+            assert np.max(np.abs(got[k] - reference_rotation(a[k], b[k]))) <= 1e-14
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_the_per_axis_reference(self, n):
+        # Three stages of mixed weights, so every block multiplies distinct
+        # rotations and each stage picks its own slice of the stored blocks.
         rng = np.random.default_rng(100 + n)
-        weights = sorted({1.0, 2.0, 2.5})
-        atom_weights = rng.choice(weights, size=n)
-        group = [weights.index(w) for w in atom_weights]
-        a = rng.uniform(-1.0, 1.0)
-        shared = [sim._rotation(a, rng.uniform(-1.0, 1.0) * w) for w in weights]
+        weights = np.array([1.0, 2.0, 2.5])
+        group = list(rng.integers(len(weights), size=n))
+        stages = 3
+        rot = sim._rotations(
+            rng.uniform(-1.0, 1.0, size=(stages, 1)),
+            rng.uniform(-1.0, 1.0, size=(stages, 1)) * weights,
+        )
+        keys, start = [], 0
+        for size in sim._block_sizes(n):
+            keys.append(tuple(group[start:start + size]))
+            start += size
+        blocks = [sim._kron_stages(rot, key) for key in keys]
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        expected = psi.copy()
-        apply_rotations_reference(expected.reshape((2,) * n), [shared[k] for k in group])
-        got = sim._apply_rotations(psi, np.ravel(shared), sim._block_index_tables(group))
-        assert got.shape == psi.shape
-        assert np.max(np.abs(got - expected)) <= 1e-13
+        for stage in range(stages):
+            expected = psi.copy()
+            apply_rotations_reference(expected.reshape((2,) * n), [rot[stage, k].ravel() for k in group])
+            got = sim._apply_blocks(psi, blocks, stage)
+            assert got.shape == psi.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13
+            psi = got
 
     @pytest.mark.parametrize("name", ["G3", "G5P"])
-    def test_evolve_matches_the_reference_kernel(self, name, monkeypatch):
+    def test_evolve_matches_the_reference_kernel(self, name):
+        # The reference: a slow sweep with the per-axis kernel and eigh rotations.
         graph, _ = load_builtin_layout(name)
         spec = build_hamiltonian(graph, detuning_weights=[1.0 + (k % 3) / 2 for k in range(graph.atom_count)])
         fast = evolve(spec, PulseSchedule(), steps=400)
-        monkeypatch.setattr(sim, "_apply_rotations", reference_rotations_kernel)
-        slow = evolve(spec, PulseSchedule(), steps=400)
+        slow = reference_sweep(spec, PulseSchedule(), steps=400)
         assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    def test_chunk_boundaries_leave_the_state_unchanged(self, monkeypatch):
+        graph, _ = load_builtin_layout("G3")
+        n = graph.atom_count
+        spec = build_hamiltonian(graph, detuning_weights=[1.0 + k / 8 for k in range(n)])
+        steps = 100
+        whole = evolve(spec, PulseSchedule(), steps=steps)
+        # A distinct weight per atom makes every block distinct, so a step
+        # stores 3 * sum(4^s) entries: seven steps fit in one chunk, and the
+        # last of 15 chunks holds two.
+        per_step = 3 * sum(4**size for size in sim._block_sizes(n))
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 7 * per_step + per_step // 2)
+        chunked = evolve(spec, PulseSchedule(), steps=steps)
+        assert np.max(np.abs(chunked - whole)) <= 1e-13
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1)
+        assert np.max(np.abs(evolve(spec, PulseSchedule(), steps=steps) - whole)) <= 1e-13
+
+    def test_zero_drive_keeps_the_ground_state_exactly(self):
+        # phi = 0 at every stage: each rotation is the identity, with s = 1.
+        graph, _ = load_builtin_layout("G5P")
+        spec = build_hamiltonian(graph, detuning_weights=[1.0 + (k % 3) / 2 for k in range(graph.atom_count)])
+        psi = evolve(spec, ConstantSchedule(0.0, 0.0, 1.0), steps=50)
+        expected = np.zeros(1 << spec.n, dtype=complex)
+        expected[0] = 1.0
+        assert np.array_equal(psi, expected)
+
+    def test_peak_memory_does_not_grow_with_the_step_count(self):
+        graph, _ = load_builtin_layout("G7")
+        spec = build_hamiltonian(graph)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for steps in (400, 4000):
+                tracemalloc.reset_peak()
+                evolve(spec, PulseSchedule(), steps=steps)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[4000] <= 16 * 2**20
+        assert abs(peaks[4000] - peaks[400]) <= 2**20
 
 
 class TestAdiabaticConsistency:
