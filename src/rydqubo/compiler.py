@@ -553,10 +553,10 @@ def _coerce_bits(graph: AtomGraph, bits: Sequence[int] | str) -> tuple[int, ...]
         if len(bits) != graph.atom_count or any(ch not in "01" for ch in bits):
             raise InputError(f"bitstring {bits!r} does not match {graph.atom_count} atoms")
         return tuple(1 if ch == "1" else 0 for ch in bits)
-    out = tuple(int(b) for b in bits)
+    out = tuple(bits)
     if len(out) != graph.atom_count or any(b not in (0, 1) for b in out):
         raise InputError(f"expected {graph.atom_count} bits of 0/1, got {bits!r}")
-    return out
+    return tuple(int(b) for b in out)
 
 
 def decode(

@@ -51,6 +51,8 @@ _BLOCK_ATOMS = 5
 # entries (4 MiB), whatever the step count.
 _CHUNK_ENTRIES = 1 << 18
 _TWO_PI = 2.0 * math.pi
+# Largest drift of a state's norm from 1 that evolve and measure accept.
+_NORM_TOL = 1e-6
 
 # Fourth-order (triple-jump) composition coefficients for symmetric steps.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -138,7 +140,7 @@ class HamiltonianSpec:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
             raise InputError(f"atom count must be a positive integer, got {self.n!r}")
-        weights = self.detuning_weights or tuple(1.0 for _ in range(self.n))
+        weights = tuple(self.detuning_weights) or tuple(1.0 for _ in range(self.n))
         if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights):
             raise InputError(f"detuning_weights must be real numbers, got {weights!r}")
         weights = tuple(float(w) for w in weights)
@@ -281,7 +283,6 @@ def evolve(
     schedule=None,
     steps: int = DEFAULT_STEPS,
     cap: int = DEFAULT_SIM_CAP,
-    norm_tol: float = 1e-6,
 ) -> np.ndarray:
     """Propagate |0...0> through the schedule; returns the final state vector.
 
@@ -297,8 +298,6 @@ def evolve(
     _check_cap(n, cap)
     if type(steps) is not int or steps < 1:
         raise InputError(f"steps must be an integer >= 1, got {steps!r}")
-    if not (math.isfinite(norm_tol) and norm_tol > 0):
-        raise InputError(f"norm_tol must be finite and positive, got {norm_tol!r}")
 
     # Atoms of equal weight share one rotation per stage, and blocks of
     # equal weight groups share one array of Kronecker products.
@@ -351,7 +350,7 @@ def evolve(
             psi *= u_half
             if step % check_every == 0 or step == steps - 1:
                 norm = math.sqrt(float(np.vdot(psi, psi).real))
-                if not (abs(norm - 1.0) <= norm_tol):
+                if not (abs(norm - 1.0) <= _NORM_TOL):
                     raise SimulationError(
                         f"norm drifted to {norm} at step {step}; reduce the step size"
                     )
@@ -427,7 +426,7 @@ class StateDistribution:
 
 
 def measure_distribution(
-    state: np.ndarray, atom_labels: Sequence[str] | None = None, norm_tol: float = 1e-6
+    state: np.ndarray, atom_labels: Sequence[str] | None = None
 ) -> StateDistribution:
     """Born probabilities of every bitstring in atom order."""
     state = np.asarray(state, dtype=np.complex128)
@@ -437,7 +436,7 @@ def measure_distribution(
         raise InputError(f"state dimension {dim} is not a power of two")
     probs = np.abs(state) ** 2
     total = float(probs.sum())
-    if not (abs(math.sqrt(total) - 1.0) <= norm_tol):
+    if not (abs(math.sqrt(total) - 1.0) <= _NORM_TOL):
         raise InputError(f"state is not normalised (norm {math.sqrt(total):.8f})")
     probs /= total
     labels = tuple(atom_labels) if atom_labels is not None else None

@@ -8,14 +8,17 @@ blockade is the only model: a finite pair penalty u > delta has the same
 ground set, since de-exciting one atom of an excited blockaded pair lowers
 the energy.
 
-Every search reads the graph's adjacency bitmasks, ``AtomGraph.masks``.
-``enumerate_ground_configs`` lists every ground configuration.
-``certify_equivalence`` lists them only when it must.  When every variable's
-data copies share one neighbourhood (every compiled graph), no maximum set
-splits a variable's copies, so it clamps the copies instead: the other atoms
-fall apart into components (wires, offset stars, ...) whose MIS sizes are
-tabulated once per assignment of the few variables each one touches, and
-alpha(G | x) is a sum of table entries for each of the 2^n assignments x.
+Every search reads the graph's adjacency bitmasks, ``AtomGraph.masks``, and
+one branch and bound, ``_mis_size``, computes every MIS size.
+``enumerate_ground_configs`` lists every ground configuration, derived from
+that size search: a branch is followed only while it can still reach the
+MIS size.  ``certify_equivalence`` lists them only when it must.  When every
+variable's data copies share one neighbourhood (every compiled graph), no
+maximum set splits a variable's copies, so it clamps the copies instead: the
+other atoms fall apart into components (wires, offset stars, ...) whose MIS
+sizes are tabulated once per assignment of the few variables each one
+touches, and alpha(G | x) is a sum of table entries for each of the 2^n
+assignments x.
 """
 
 from __future__ import annotations
@@ -39,120 +42,6 @@ Config = tuple[int, ...]
 
 def _config_from_mask(mask: int, n: int) -> Config:
     return tuple((mask >> k) & 1 for k in range(n))
-
-
-def _enumerate_mis_branch_and_bound(masks: Sequence[int], n: int) -> tuple[int, list[int]]:
-    """All maximum independent sets, as bitmasks.
-
-    Branch and bound on the highest-degree remaining vertex; vertices that
-    lost all their neighbours are taken unconditionally since every maximum
-    set contains them.  The exhaustive reference path below double-checks
-    this routine in the tests.
-    """
-    best_size = 0
-    best_sets: list[int] = [0]
-
-    def explore(avail: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_sets
-        while avail:
-            isolated = 0
-            m = avail
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                if masks[v] & avail == 0:
-                    isolated |= low
-                m ^= low
-            if isolated:
-                chosen |= isolated
-                size += isolated.bit_count()
-                avail ^= isolated
-                continue
-            break
-        if avail == 0:
-            if size > best_size:
-                best_size = size
-                best_sets = []
-            if size == best_size:
-                best_sets.append(chosen)
-            return
-        if size + avail.bit_count() < best_size:
-            return
-        pick = -1
-        pick_degree = -1
-        m = avail
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            degree = (masks[v] & avail).bit_count()
-            if degree > pick_degree:
-                pick_degree = degree
-                pick = v
-            m ^= low
-        bit = 1 << pick
-        explore(avail & ~(masks[pick] | bit), chosen | bit, size + 1)
-        explore(avail & ~bit, chosen, size)
-
-    explore((1 << n) - 1, 0, 0)
-    return best_size, sorted(best_sets)
-
-
-def enumerate_mis_reference(
-    graph: AtomGraph, cap: int = REFERENCE_ENUM_CAP
-) -> tuple[int, tuple[Config, ...]]:
-    """Plain bitmask sweep over all 2**n configurations; the test oracle.
-
-    Kept independent of the branch-and-bound path on purpose.
-    """
-    n = graph.atom_count
-    if n > cap:
-        raise CapExceeded(f"reference enumeration capped at {cap} atoms, got {n}")
-    masks = graph.masks
-    best = -1
-    found: list[int] = []
-    for m in range(1 << n):
-        if any(masks[v] & m for v in _bits(m)):
-            continue
-        size = m.bit_count()
-        if size > best:
-            best = size
-            found = [m]
-        elif size == best:
-            found.append(m)
-    configs = tuple(sorted(_config_from_mask(m, n) for m in found))
-    return -best, configs
-
-
-def enumerate_ground_configs(
-    graph: AtomGraph, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[int, tuple[Config, ...]]:
-    """All minimum-energy atom configurations of ``graph``.
-
-    These are the maximum independent sets, with energy ``-|MIS|`` in delta
-    units.  Results are canonically sorted and deterministic.
-    """
-    n = graph.atom_count
-    if n > cap:
-        raise CapExceeded(f"exact search capped at {cap} atoms, got {n}")
-    if n == 0:
-        return 0, ((),)
-    size, sets = _enumerate_mis_branch_and_bound(graph.masks, n)
-    configs = tuple(sorted(_config_from_mask(m, n) for m in sets))
-    return -size, configs
-
-
-# ----------------------------------------------------------------------
-# Clamped ground sets
-# ----------------------------------------------------------------------
-
-
-def _twin_copies(graph: AtomGraph) -> bool:
-    """True when all data copies of each variable have one neighbourhood.
-
-    A maximum independent set then never splits a variable's copies: copies
-    are mutually non-adjacent, so the missing ones could join the set.
-    """
-    return all(len({graph.masks[a] for a in ids}) == 1 for ids in graph.var_copies.values())
 
 
 def _mis_size(masks: Sequence[int], avail: int, size: int = 0, best: int = 0) -> int:
@@ -184,6 +73,91 @@ def _mis_size(masks: Sequence[int], avail: int, size: int = 0, best: int = 0) ->
             best = _mis_size(masks, avail & ~(masks[pick] | bit), size + 1, best)
             return _mis_size(masks, avail & ~bit, size, best)
     return size if size > best else best
+
+
+def _maximum_sets(masks: Sequence[int], avail: int, size: int) -> list[int]:
+    """Every maximum independent set of the atoms in ``avail``, whose MIS size is ``size``.
+
+    Branches on the lowest atom, taking it or leaving it out only when
+    ``_mis_size`` shows that the branch still reaches the target size, so
+    every branch ends in a set and the work is at most two size searches per
+    atom of each set.  An atom with no neighbour left is in every such set.
+    """
+    found: list[int] = []
+
+    def grow(avail: int, size: int, chosen: int) -> None:
+        if not avail:
+            found.append(chosen)
+            return
+        bit = avail & -avail
+        nbrs = masks[bit.bit_length() - 1] & avail
+        rest = avail & ~(nbrs | bit)
+        if _mis_size(masks, rest) == size - 1:
+            grow(rest, size - 1, chosen | bit)
+        if nbrs and _mis_size(masks, avail ^ bit) == size:
+            grow(avail ^ bit, size, chosen)
+
+    grow(avail, size, 0)
+    return found
+
+
+def enumerate_mis_reference(
+    graph: AtomGraph, cap: int = REFERENCE_ENUM_CAP
+) -> tuple[int, tuple[Config, ...]]:
+    """Plain bitmask sweep over all 2**n configurations; the test oracle.
+
+    Kept independent of the size search on purpose.
+    """
+    n = graph.atom_count
+    if n > cap:
+        raise CapExceeded(f"reference enumeration capped at {cap} atoms, got {n}")
+    masks = graph.masks
+    best = -1
+    found: list[int] = []
+    for m in range(1 << n):
+        if any(masks[v] & m for v in _bits(m)):
+            continue
+        size = m.bit_count()
+        if size > best:
+            best = size
+            found = [m]
+        elif size == best:
+            found.append(m)
+    configs = tuple(sorted(_config_from_mask(m, n) for m in found))
+    return -best, configs
+
+
+def enumerate_ground_configs(
+    graph: AtomGraph, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[int, tuple[Config, ...]]:
+    """All minimum-energy atom configurations of ``graph``.
+
+    These are the maximum independent sets, with energy ``-|MIS|`` in delta
+    units.  They are derived from the size search ``_mis_size``: its alpha
+    fixes the target size, and ``_maximum_sets`` follows only the branches
+    that still reach it.  Results are canonically sorted and deterministic.
+    """
+    n = graph.atom_count
+    if n > cap:
+        raise CapExceeded(f"exact search capped at {cap} atoms, got {n}")
+    masks, every = graph.masks, (1 << n) - 1
+    size = _mis_size(masks, every)
+    configs = tuple(sorted(_config_from_mask(m, n) for m in _maximum_sets(masks, every, size)))
+    return -size, configs
+
+
+# ----------------------------------------------------------------------
+# Clamped ground sets
+# ----------------------------------------------------------------------
+
+
+def _twin_copies(graph: AtomGraph) -> bool:
+    """True when all data copies of each variable have one neighbourhood.
+
+    A maximum independent set then never splits a variable's copies: copies
+    are mutually non-adjacent, so the missing ones could join the set.
+    """
+    return all(len({graph.masks[a] for a in ids}) == 1 for ids in graph.var_copies.values())
 
 
 def _component_tables(
@@ -255,12 +229,19 @@ def _clamped_ground_set(graph: AtomGraph, cap: int) -> tuple[int, set[Assignment
     the variables x sets, is the sum of one entry of each component table.
     Each table is split into one term per subset of its variables, and those
     terms are summed over the subsets of every x at once.  An x that sets
-    two variables with adjacent copies has no such set and is skipped.
+    two variables with adjacent copies has no such set: a pair term of
+    -(atoms + 1) sinks it below every x that has one.
     Returns -alpha(G), the argmax, the component count and the largest
     component's atom count.
     """
     tables, components, largest = _component_tables(graph, cap)
     n = graph.n_vars
+    # Twin copies: one copy of each variable stands for all of them.
+    first = [graph.var_copies[v][0] for v in range(n)]
+    for v in range(n):
+        for w in range(v):
+            if graph.masks[first[v]] >> first[w] & 1:
+                tables.setdefault((w, v), [0, 0, 0, 0])[3] -= graph.atom_count + 1
     alphas = [0] * (1 << n)
     for touched, table in tables.items():
         terms = list(table)
@@ -271,16 +252,6 @@ def _clamped_ground_set(graph: AtomGraph, cap: int) -> tuple[int, set[Assignment
         for x, term in zip(subsets, terms):
             alphas[x] += term
     _subset_sums(alphas, n)
-
-    # Twin copies: one copy of each variable stands for all of them.
-    first = [graph.var_copies[v][0] for v in range(n)]
-    for v in range(n):
-        for w in range(v):
-            if graph.masks[first[v]] >> first[w] & 1:
-                pair = (1 << v) | (1 << w)
-                for x in range(1 << n):
-                    if x & pair == pair:
-                        alphas[x] = -1  # below alphas[0], so never the maximum
     best = max(alphas)
     decoded = {tuple(x >> v & 1 for v in range(n)) for x, a in enumerate(alphas) if a == best}
     return -best, decoded, components, largest

@@ -4,6 +4,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from rydqubo.compiler import (
@@ -25,6 +26,7 @@ from rydqubo.compiler import (
     try_decode,
 )
 from rydqubo.errors import CapExceeded, GraphError, InputError
+from rydqubo.geometry import load_builtin_layout
 from rydqubo.qubo import QuboInstance, brute_force_minima
 
 F1 = QuboInstance(n=1, linear={0: -2})
@@ -317,6 +319,14 @@ class TestDecode:
         g = compile_qubo(F1)
         with pytest.raises(InputError):
             decode(g, (1,))
+
+    def test_non_integral_bits_rejected(self):
+        g, _ = load_builtin_layout("G3")
+        with pytest.raises(InputError):
+            try_decode(g, [0.6, 0, 0, 0, 0, 0, 0])
+        assert try_decode(g, [1.0, 0, 0, 0, 0, 0, 0]) is None
+        assert try_decode(g, np.zeros(7, dtype=np.int64)) == (0, 0)
+        assert try_decode(g, "0000000") == (0, 0)
 
 
 class TestGraphValidation:

@@ -70,6 +70,28 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             enumerate_ground_configs(g, cap=7)
 
+    def test_listing_above_the_reference_cap(self, monkeypatch):
+        # 14 disjoint edges: every maximum set takes one atom of each edge.
+        edges = [(2 * k, 2 * k + 1) for k in range(14)]
+        g = plain_graph(28, edges)
+        assert g.atom_count > solver.REFERENCE_ENUM_CAP
+        calls = 0
+        mis_size = solver._mis_size
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return mis_size(*args)
+
+        monkeypatch.setattr(solver, "_mis_size", counted)
+        energy, configs = enumerate_ground_configs(g)
+        expected = sorted(
+            tuple(b for p in pick for b in (p, 1 - p)) for pick in product((0, 1), repeat=14)
+        )
+        assert energy == -14
+        assert configs == tuple(expected)
+        assert calls <= 2 * g.atom_count * len(configs) + 1
+
     def test_branch_and_bound_matches_reference(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -377,12 +399,17 @@ class TestClampedCertify:
         tables, components, largest = solver._component_tables(graph, cap=64)
         assert (components, largest) == (2, 5)
         assert tables[(0, 1, 2)] == [1] + [0] * 7
-        for q in (
-            QuboInstance(n=3, linear={0: -2, 1: -1, 2: -1}),
-            QuboInstance(n=3, linear={0: -1, 1: -3, 2: 1}, quadratic={(0, 2): -1}),
-            QuboInstance(n=3),
+        # Three single-copy variables, each pair adjacent.
+        triangle = AtomGraph([DataCopy(v, 1) for v in range(3)], [(0, 1), (1, 2), (0, 2)])
+        for q, g in product(
+            (
+                QuboInstance(n=3, linear={0: -2, 1: -1, 2: -1}),
+                QuboInstance(n=3, linear={0: -1, 1: -3, 2: 1}, quadratic={(0, 2): -1}),
+                QuboInstance(n=3),
+            ),
+            (graph, triangle),
         ):
-            assert_clamp_matches_listing(q, graph)
+            assert_clamp_matches_listing(q, g)
 
     def test_non_twin_copies_take_the_listing_path(self, caplog):
         # Only the first copy of x1 touches x2, so a maximum set may split x1.
