@@ -47,7 +47,6 @@ from .compiler import (
 from .solver import (
     CertificateReport,
     certify_equivalence,
-    config_satisfies_af,
     enumerate_ground_configs,
     enumerate_mis_reference,
     mwis_expand,

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, GraphError, InputError, RydquboError
-from .qubo import Assignment, QuboInstance, qubo_from_dict, qubo_to_dict
+from .qubo import Assignment, QuboInstance, check_assignment, qubo_from_dict, qubo_to_dict
 
 DEFAULT_MAX_ATOMS = 5000
 
@@ -548,17 +548,6 @@ class InconsistentCopies(RydquboError):
         self.var = var
 
 
-def _coerce_bits(graph: AtomGraph, bits: Sequence[int] | str) -> tuple[int, ...]:
-    if isinstance(bits, str):
-        if len(bits) != graph.atom_count or any(ch not in "01" for ch in bits):
-            raise InputError(f"bitstring {bits!r} does not match {graph.atom_count} atoms")
-        return tuple(1 if ch == "1" else 0 for ch in bits)
-    out = tuple(bits)
-    if len(out) != graph.atom_count or any(b not in (0, 1) for b in out):
-        raise InputError(f"expected {graph.atom_count} bits of 0/1, got {bits!r}")
-    return tuple(int(b) for b in out)
-
-
 def decode(
     graph: AtomGraph, bits: Sequence[int] | str, check_offsets: bool = False
 ) -> Assignment:
@@ -571,7 +560,7 @@ def decode(
     Raises :class:`InconsistentCopies` when the configuration is not a
     valid encoding.
     """
-    values = _coerce_bits(graph, bits)
+    values = check_assignment(graph.atom_count, bits)
     out = []
     for v in range(graph.n_vars):
         seen = {values[a] for a in graph.var_copies[v]}

@@ -2,6 +2,10 @@
 
 Variables are 0-indexed integers in [0, n) throughout the Python API.
 The JSON interchange format uses 1-based indices (see :func:`qubo_from_dict`).
+
+Bit configurations of variables and atoms alike are owned here:
+:func:`check_assignment` is their one reader and ``_assignment_from_index``
+their one index-to-bits converter, bit k of the index giving entry k.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -124,22 +128,24 @@ class QuboInstance:
 
 
 def check_assignment(n: int, assignment: Sequence[int] | str) -> Assignment:
-    """Validate and canonicalise an assignment for an n-variable instance."""
+    """Canonical bits of a configuration of ``n`` variables or atoms.
+
+    A string must be exactly n characters from "01"; any other iterable
+    must hold n entries equal to 0 or 1 that are not strings, so bools,
+    numpy integers and ``1.0`` pass.  Anything else raises InputError.
+    """
     if isinstance(assignment, str):
-        raw: Iterable[object] = (int(ch) if ch in "01" else ch for ch in assignment)
+        # strip leaves a character other than 0 or 1 in place.
+        if len(assignment) == n and not assignment.strip("01"):
+            return tuple(1 if ch == "1" else 0 for ch in assignment)
     else:
-        raw = assignment
-    bits = []
-    for b in raw:
-        if isinstance(b, bool):
-            bits.append(int(b))
-        elif isinstance(b, (int, np.integer)) and int(b) in (0, 1):
-            bits.append(int(b))
-        else:
-            raise InputError(f"assignment entries must be 0 or 1, got {b!r}")
-    if len(bits) != n:
-        raise InputError(f"assignment length {len(bits)} does not match n={n}")
-    return tuple(bits)
+        try:
+            bits = tuple(assignment)
+            if len(bits) == n and all(b in (0, 1) for b in bits):
+                return tuple(1 if b else 0 for b in bits)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"expected {n} bits of 0/1, got {assignment!r}")
 
 
 def evaluate(q: QuboInstance, assignment: Sequence[int] | str) -> int:
@@ -186,9 +192,12 @@ def normalize_to_integers(
         raise InputError("empty instance: no nonzero coefficients given")
 
     indices = set(lin)
-    for i, j in quad:
-        indices.add(i)
-        indices.add(j)
+    for key in quad:
+        try:
+            i, j = key
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"quadratic key {key!r} is not a pair") from exc
+        indices.update((i, j))
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, int) or i < 0:
             raise InputError(f"variable index {i!r} must be a nonnegative integer")
@@ -210,15 +219,6 @@ def normalize_to_integers(
     )
 
 
-def bit_planes(n: int, lo: int, hi: int) -> np.ndarray:
-    """Bits 0..n-1 of every index in [lo, hi): row k holds bit k, as int64.
-
-    int64 keeps products with Python-int coefficients from overflowing.
-    """
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return (idx >> np.arange(n, dtype=np.int64)[:, None]) & 1
-
-
 def _assignment_from_index(index: int, n: int) -> Assignment:
     return tuple((index >> i) & 1 for i in range(n))
 
@@ -230,48 +230,37 @@ def brute_force_minima(
 
     Returns the minimum cost and every assignment attaining it, sorted
     lexicographically.  This is the independent oracle the rest of the
-    package is checked against, so it stays deliberately simple.
+    package is checked against, so it stays deliberately simple: one
+    vectorised loop over chunks of assignment indices, exact at any
+    coefficient size.
     """
     if q.n > cap:
         raise CapExceeded(f"brute force requested for n={q.n} above cap {cap}")
     total = 1 << q.n
-    # Vectorised path is exact as long as the value range fits in int64.
-    if q.abs_coefficient_sum() <= 2**62:
-        best: int | None = None
-        argmin_indices: list[int] = []
-        lin_items = list(q.linear.items())
-        quad_items = list(q.quadratic.items())
-        for lo in range(0, total, ENUM_CHUNK):
-            hi = min(lo + ENUM_CHUNK, total)
-            bits = bit_planes(q.n, lo, hi)
-            vals = np.zeros(hi - lo, dtype=np.int64)
-            for i, c in lin_items:
-                vals += c * bits[i]
-            for (i, j), c in quad_items:
-                vals += c * (bits[i] * bits[j])
-            chunk_min = int(vals.min())
-            if best is None or chunk_min < best:
-                best = chunk_min
-                argmin_indices = []
-            if chunk_min == best:
-                argmin_indices.extend(int(k) + lo for k in np.nonzero(vals == chunk_min)[0])
-        assert best is not None
-        assignments = sorted(_assignment_from_index(k, q.n) for k in argmin_indices)
-        return best, tuple(assignments)
-
-    # Exact fallback for coefficient sums beyond int64: plain Python integers.
-    best_val: int | None = None
-    argmin: list[Assignment] = []
-    for index in range(total):
-        a = _assignment_from_index(index, q.n)
-        v = evaluate(q, a)
-        if best_val is None or v < best_val:
-            best_val = v
-            argmin = [a]
-        elif v == best_val:
-            argmin.append(a)
-    assert best_val is not None
-    return best_val, tuple(sorted(argmin))
+    # int64 sums are exact while abs_coefficient_sum() <= 2**62; past that an
+    # object array adds each term (c * bit fits int64) as a Python integer.
+    dtype = np.int64 if q.abs_coefficient_sum() <= 2**62 else object
+    shifts = np.arange(q.n, dtype=np.int64)[:, None]
+    best: int | None = None
+    argmin_indices: list[int] = []
+    for lo in range(0, total, ENUM_CHUNK):
+        hi = min(lo + ENUM_CHUNK, total)
+        # Row k holds bit k of every index in [lo, hi).
+        bits = np.arange(lo, hi, dtype=np.int64) >> shifts & 1
+        vals = np.zeros(hi - lo, dtype=dtype)
+        for i, c in q.linear.items():
+            vals += c * bits[i]
+        for (i, j), c in q.quadratic.items():
+            vals += c * (bits[i] * bits[j])
+        chunk_min = int(vals.min())
+        if best is None or chunk_min < best:
+            best = chunk_min
+            argmin_indices = []
+        if chunk_min == best:
+            argmin_indices.extend(int(k) + lo for k in np.nonzero(vals == chunk_min)[0])
+    assert best is not None
+    assignments = sorted(_assignment_from_index(k, q.n) for k in argmin_indices)
+    return best, tuple(assignments)
 
 
 def qubo_to_dict(q: QuboInstance) -> dict:

@@ -41,6 +41,7 @@ import numpy as np
 from .compiler import AtomGraph
 from .errors import CapExceeded, EmptySelection, InputError, SimulationError, require_finite
 from .geometry import Layout, PhysicalParams, pair_interaction
+from .qubo import check_assignment
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
@@ -140,7 +141,10 @@ class HamiltonianSpec:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
             raise InputError(f"atom count must be a positive integer, got {self.n!r}")
-        weights = tuple(self.detuning_weights) or tuple(1.0 for _ in range(self.n))
+        try:
+            weights = tuple(self.detuning_weights) or tuple(1.0 for _ in range(self.n))
+        except TypeError as exc:
+            raise InputError(f"detuning_weights must be a sequence, got {self.detuning_weights!r}") from exc
         if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights):
             raise InputError(f"detuning_weights must be real numbers, got {weights!r}")
         weights = tuple(float(w) for w in weights)
@@ -198,7 +202,7 @@ def build_hamiltonian(
                 couplings.append((a, b, pair_interaction(params, layout.distance(a, b))))
     else:
         raise InputError(f"unknown mode {mode!r}")
-    weights = tuple(detuning_weights) if detuning_weights is not None else ()
+    weights = detuning_weights if detuning_weights is not None else ()
     return HamiltonianSpec(n=n, couplings=tuple(couplings), detuning_weights=weights)
 
 
@@ -215,10 +219,7 @@ def _interaction_energy(spec: HamiltonianSpec) -> np.ndarray:
 
 def diagonal_energy(spec: HamiltonianSpec, delta: float, bits: Sequence[int] | str) -> float:
     """Drive-off energy of one basis configuration, in (2 pi) MHz."""
-    if isinstance(bits, str):
-        bits = [1 if ch == "1" else 0 for ch in bits]
-    if len(bits) != spec.n:
-        raise InputError(f"expected {spec.n} bits")
+    bits = check_assignment(spec.n, bits)
     energy = -delta * sum(w * b for w, b in zip(spec.detuning_weights, bits))
     for a, b, u in spec.couplings:
         energy += u * bits[a] * bits[b]
@@ -475,15 +476,19 @@ def postselect(
     )
 
 
-def af_predicate(graph: AtomGraph) -> Callable[[str], bool]:
-    """Alternation filter for a graph's constraint chains.
+def af_predicate(graph: AtomGraph) -> Callable[[Sequence[int] | str], bool]:
+    """Alternation filter: every constrained pair must hold opposite bits.
 
-    Graphs without constraint atoms yield an always-true predicate, so
-    post-selection is the identity there.
+    The predicate takes a bitstring or a bit sequence and checks its length
+    only, to keep ``postselect`` over 2^n outcomes cheap.  Graphs without
+    constraint atoms yield an always-true predicate.
     """
     pairs = graph.af_pairs()
+    n = graph.atom_count
 
-    def predicate(bitstring: str) -> bool:
-        return all(bitstring[a] != bitstring[b] for a, b in pairs)
+    def predicate(config: Sequence[int] | str) -> bool:
+        if len(config) != n:
+            raise InputError(f"configuration {config!r} does not have {n} entries")
+        return all(config[a] != config[b] for a, b in pairs)
 
     return predicate

@@ -32,16 +32,13 @@ from typing import Iterable, Sequence
 from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode
 from .errors import CapExceeded, InputError
 from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
+from .qubo import _assignment_from_index
 
 DEFAULT_ENUM_CAP = 30
 REFERENCE_ENUM_CAP = 25
 
 Config = tuple[int, ...]
 """One bit per atom, index position = atom id."""
-
-
-def _config_from_mask(mask: int, n: int) -> Config:
-    return tuple((mask >> k) & 1 for k in range(n))
 
 
 def _mis_size(masks: Sequence[int], avail: int, size: int = 0, best: int = 0) -> int:
@@ -123,7 +120,7 @@ def enumerate_mis_reference(
             found = [m]
         elif size == best:
             found.append(m)
-    configs = tuple(sorted(_config_from_mask(m, n) for m in found))
+    configs = tuple(sorted(_assignment_from_index(m, n) for m in found))
     return -best, configs
 
 
@@ -142,7 +139,7 @@ def enumerate_ground_configs(
         raise CapExceeded(f"exact search capped at {cap} atoms, got {n}")
     masks, every = graph.masks, (1 << n) - 1
     size = _mis_size(masks, every)
-    configs = tuple(sorted(_config_from_mask(m, n) for m in _maximum_sets(masks, every, size)))
+    configs = tuple(sorted(_assignment_from_index(m, n) for m in _maximum_sets(masks, every, size)))
     return -size, configs
 
 
@@ -253,7 +250,7 @@ def _clamped_ground_set(graph: AtomGraph, cap: int) -> tuple[int, set[Assignment
             alphas[x] += term
     _subset_sums(alphas, n)
     best = max(alphas)
-    decoded = {tuple(x >> v & 1 for v in range(n)) for x, a in enumerate(alphas) if a == best}
+    decoded = {_assignment_from_index(x, n) for x, a in enumerate(alphas) if a == best}
     return -best, decoded, components, largest
 
 
@@ -289,7 +286,7 @@ def wire_table(
     best = -1
     found: list[Config] = []
     for mask in range(1 << length):
-        bits = [(mask >> p) & 1 for p in range(length)]
+        bits = _assignment_from_index(mask, length)
         if bi and bits[0]:
             continue
         if bj and bits[-1]:
@@ -299,9 +296,9 @@ def wire_table(
         size = sum(bits)
         if size > best:
             best = size
-            found = [tuple(bits)]
+            found = [bits]
         elif size == best:
-            found.append(tuple(bits))
+            found.append(bits)
     return -best, tuple(sorted(found))
 
 
@@ -408,15 +405,6 @@ def certify_equivalence(
         missing=missing,
         inconsistent_configs=tuple(inconsistent),
     )
-
-
-def config_satisfies_af(graph: AtomGraph, config: Sequence[int] | str) -> bool:
-    """True when every alternation-constrained pair holds opposite bits."""
-    if isinstance(config, str):
-        bits = [1 if ch == "1" else 0 for ch in config]
-    else:
-        bits = list(config)
-    return all(bits[a] != bits[b] for a, b in graph.af_pairs())
 
 
 # ----------------------------------------------------------------------

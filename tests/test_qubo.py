@@ -7,15 +7,20 @@ from itertools import product
 import numpy as np
 import pytest
 
+from rydqubo.compiler import AtomGraph, DataCopy, decode
 from rydqubo.errors import CapExceeded, InputError
 from rydqubo.qubo import (
     QuboInstance,
     brute_force_minima,
+    check_assignment,
     evaluate,
     normalize_to_integers,
     qubo_from_dict,
     qubo_to_dict,
 )
+from rydqubo.sim import HamiltonianSpec, af_predicate, diagonal_energy
+
+INT64_MAX = 2**63 - 1
 
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
 F4 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): -1})
@@ -75,6 +80,78 @@ class TestEvaluate:
             q = QuboInstance(n=n, linear=linear, quadratic=quadratic)
             bits = tuple(rng.randint(0, 1) for _ in range(n))
             assert evaluate(q, bits) == naive_matrix_eval(q, bits)
+
+
+def bits_id(bits) -> str:
+    return f"{bits.dtype}{list(bits.shape)}" if isinstance(bits, np.ndarray) else repr(bits)
+
+
+class TestBitConfigurations:
+    """``check_assignment`` is the one reader behind every bit configuration."""
+
+    N = 4
+    # One bit per variable or atom; each reader's output identifies the bits.
+    GRAPH = AtomGraph([DataCopy(var=v, copy_index=1) for v in range(N)], [])
+    QUBO = QuboInstance(n=N, linear={i: 1 << i for i in range(N)})
+    SPEC = HamiltonianSpec(n=N, detuning_weights=tuple(1 << i for i in range(N)))
+
+    def readers(self):
+        return {
+            "decode": lambda bits: decode(self.GRAPH, bits),
+            "evaluate": lambda bits: evaluate(self.QUBO, bits),
+            "diagonal_energy": lambda bits: diagonal_energy(self.SPEC, -1.0, bits),
+        }
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            5,
+            None,
+            "1x00",
+            "101",
+            "10100",
+            [2, 0, 0, 0],
+            [0.5, 0, 0, 0],
+            ["1", "0", "0", "0"],
+            (1, 0, 1),
+            np.zeros(5, dtype=np.int64),
+            np.zeros((4, 2), dtype=np.int64),
+        ],
+        ids=bits_id,
+    )
+    @pytest.mark.parametrize("reader", ["decode", "evaluate", "diagonal_energy"])
+    def test_malformed_configuration_rejected(self, reader, bits):
+        with pytest.raises(InputError):
+            self.readers()[reader](bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            "1011",
+            (1, 0, 1, 1),
+            [True, False, True, True],
+            np.array([1, 0, 1, 1], dtype=np.int64),
+            np.array([1, 0, 1, 1], dtype=np.uint8),
+            [1.0, 0, 1, 1],
+        ],
+        ids=bits_id,
+    )
+    def test_valid_forms_read_the_same_bits(self, bits):
+        expected = (1, 0, 1, 1)
+        index = sum(b << i for i, b in enumerate(expected))
+        assert check_assignment(self.N, bits) == expected
+        assert all(type(b) is int for b in check_assignment(self.N, bits))
+        readers = self.readers()
+        assert readers["decode"](bits) == expected
+        assert readers["evaluate"](bits) == index
+        assert readers["diagonal_energy"](bits) == index
+
+    def test_af_predicate_checks_the_length(self):
+        pred = af_predicate(self.GRAPH)
+        assert pred("1011") and pred((1, 0, 1, 1))
+        for bits in ("101", "10110", (1, 0, 1)):
+            with pytest.raises(InputError, match="does not have 4 entries"):
+                pred(bits)
 
 
 class TestConstruction:
@@ -141,6 +218,11 @@ class TestNormalize:
         with pytest.raises(InputError):
             normalize_to_integers({0: Fraction(0)}, {})
 
+    @pytest.mark.parametrize("key", [5, (0, 1, 2)])
+    def test_quadratic_key_not_a_pair(self, key):
+        with pytest.raises(InputError, match="is not a pair"):
+            normalize_to_integers({}, {key: 1})
+
 
 class TestBruteForce:
     def test_f3_unique_minimum(self):
@@ -189,6 +271,24 @@ class TestBruteForce:
         value, argmin = brute_force_minima(q)
         assert value == -big
         assert set(argmin) == {(1, 0)}
+
+    def test_extreme_coefficients_match_an_exact_enumeration(self):
+        # Coefficient sums far beyond int64 as well as ones that just fit.
+        pool = (INT64_MAX, -INT64_MAX, 2**62, -(2**62), 3, -2, 1, 0)
+        rng = random.Random(63)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            q = QuboInstance(
+                n=n,
+                linear={i: rng.choice(pool) for i in range(n)},
+                quadratic={
+                    (i, j): rng.choice(pool) for i in range(n) for j in range(i + 1, n)
+                },
+            )
+            values = {bits: evaluate(q, bits) for bits in product((0, 1), repeat=n)}
+            best = min(values.values())
+            expected = tuple(sorted(bits for bits, v in values.items() if v == best))
+            assert brute_force_minima(q) == (best, expected)
 
     def test_scaling_preserves_argmin(self):
         rng = random.Random(99)

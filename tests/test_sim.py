@@ -210,6 +210,13 @@ class TestBuildHamiltonian:
         spec = HamiltonianSpec(n=3, detuning_weights=(np.float64(1.5), np.int64(2), 3))
         assert spec.detuning_weights == (1.5, 2.0, 3.0)
 
+    def test_scalar_detuning_weights_rejected(self):
+        with pytest.raises(InputError, match="must be a sequence"):
+            HamiltonianSpec(n=1, detuning_weights=5)
+        g, _ = load_builtin_layout("G1")
+        with pytest.raises(InputError, match="must be a sequence"):
+            build_hamiltonian(g, detuning_weights=2.0)
+
     def test_numpy_detuning_weights(self):
         spec = HamiltonianSpec(n=2, detuning_weights=np.array([1.0, 2.0]))
         assert spec.detuning_weights == (1.0, 2.0)

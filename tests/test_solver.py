@@ -21,9 +21,9 @@ from rydqubo.compiler import (
 from rydqubo.errors import CapExceeded, InputError
 from rydqubo.geometry import builtin_names, load_builtin_layout
 from rydqubo.qubo import QuboInstance, brute_force_minima
+from rydqubo.sim import af_predicate
 from rydqubo.solver import (
     certify_equivalence,
-    config_satisfies_af,
     enumerate_ground_configs,
     enumerate_mis_reference,
     mwis_expand,
@@ -515,14 +515,17 @@ class TestMwis:
 class TestAfFilter:
     def test_graph_without_constraints_accepts_everything(self):
         g = compile_qubo(F3)
-        assert config_satisfies_af(g, (0,) * g.atom_count)
+        assert af_predicate(g)((0,) * g.atom_count)
+        assert af_predicate(g)("0" * g.atom_count)
 
     def test_constraint_pairs_must_alternate(self):
-        from rydqubo.geometry import load_builtin_layout
-
         g, _ = load_builtin_layout("G5P")
         assert g.af_pairs() == ((0, 1),)
+        pred = af_predicate(g)
         bits = [0] * g.atom_count
-        assert not config_satisfies_af(g, bits)
+        assert not pred(bits)
+        assert not pred("".join(map(str, bits)))
         bits[1] = 1
-        assert config_satisfies_af(g, bits)
+        assert pred(bits)
+        assert pred(tuple(bits))
+        assert pred("".join(map(str, bits)))
