@@ -48,16 +48,13 @@ from .solver import (
     CertificateReport,
     certify_equivalence,
     enumerate_ground_configs,
-    enumerate_mis_reference,
     mwis_expand,
     wire_table,
 )
 from .geometry import (
-    AutoLayoutResult,
     Layout,
     PhysicalParams,
     ValidationReport,
-    auto_layout,
     blockade_radius,
     builtin_names,
     layout_from_csv,

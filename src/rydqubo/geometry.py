@@ -1,4 +1,4 @@
-"""Physical layout layer: blockade arithmetic, unit-disk checks, placement.
+"""Physical layout layer: blockade arithmetic, unit-disk checks, layout I/O.
 
 Units follow the hardware convention throughout: lengths in micrometers,
 frequencies and energies in (2 pi) MHz, times in microseconds.
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping
-
-import numpy as np
 
 from .compiler import AtomGraph, role_from_dict, wire_from_dict
 from .errors import InputError, require_finite
@@ -299,88 +297,3 @@ def load_builtin_layout(name: str) -> tuple[AtomGraph, Layout]:
     source = qubo_from_dict(entry["qubo"]) if entry.get("qubo") else None
     graph = AtomGraph(roles, edges, wires=wires, source=source, labels=labels)
     return graph, Layout(positions)
-
-
-# ----------------------------------------------------------------------
-# Automatic placement
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AutoLayoutResult:
-    """Placement outcome; ``layout`` is None when no valid embedding was found."""
-
-    layout: Layout | None
-    report: ValidationReport | None
-    attempts: int
-
-    @property
-    def embeddable(self) -> bool:
-        return self.layout is not None
-
-
-def auto_layout(
-    graph: AtomGraph,
-    params: PhysicalParams | None = None,
-    seed: int = 0,
-    restarts: int = 10,
-    iterations: int = 700,
-    margin: float = 0.0,
-    min_spacing: float = DEFAULT_MIN_SPACING,
-) -> AutoLayoutResult:
-    """Best-effort force-directed placement under the blockade disk rule.
-
-    Edge springs pull coupled pairs toward 0.95 d_r while non-edges are
-    pushed beyond 1.2 d_r; each restart reseeds deterministically from
-    ``seed``.  Failure after all restarts is a normal outcome: dense graphs
-    need not be unit-disk embeddable in the plane.
-    """
-    params = params or PhysicalParams()
-    d_r = blockade_radius(params)
-    n = graph.atom_count
-    if n == 1:
-        layout = Layout({0: (0.0, 0.0)})
-        report = validate_unit_disk(
-            graph, layout, params, margin=margin, min_spacing=min_spacing
-        )
-        return AutoLayoutResult(layout, report, 1)
-
-    edge_mask = np.zeros((n, n), dtype=bool)
-    for a, b in graph.edges:
-        edge_mask[a, b] = edge_mask[b, a] = True
-    nonedge_mask = ~edge_mask & ~np.eye(n, dtype=bool)
-
-    target = 0.95 * d_r
-    clearance = 1.2 * d_r
-    last_report: ValidationReport | None = None
-    for attempt in range(restarts):
-        rng = np.random.default_rng([seed, attempt])
-        span = d_r * (1.0 + math.sqrt(n))
-        pos = rng.uniform(-span / 2, span / 2, size=(n, 2))
-        for it in range(iterations):
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-            np.fill_diagonal(dist, 1.0)
-            unit = diff / dist[:, :, None]
-            force = np.zeros((n, n))
-            # Springs act along the pair axis: negative pulls a toward b.
-            force[edge_mask] = -0.25 * (dist[edge_mask] - target)
-            close = nonedge_mask & (dist < clearance)
-            force[close] += 0.3 * (clearance - dist[close])
-            touching = dist < min_spacing + 0.4
-            np.fill_diagonal(touching, False)
-            force[touching] += 0.8 * (min_spacing + 0.4 - dist[touching])
-            step = (force[:, :, None] * unit).sum(axis=1)
-            cap = 0.35 * d_r * (1.0 - 0.85 * it / iterations)
-            norms = np.sqrt((step**2).sum(axis=1, keepdims=True))
-            np.clip(norms, 1e-12, None, out=norms)
-            step *= np.minimum(1.0, cap / norms)
-            pos += step
-        layout = Layout({i: (float(pos[i, 0]), float(pos[i, 1])) for i in range(n)})
-        report = validate_unit_disk(
-            graph, layout, params, margin=margin, min_spacing=min_spacing
-        )
-        last_report = report
-        if report.ok:
-            return AutoLayoutResult(layout, report, attempt + 1)
-    return AutoLayoutResult(None, last_report, restarts)

@@ -365,10 +365,6 @@ def evolve(
 # ----------------------------------------------------------------------
 
 
-def _rank_key(item: tuple[str, float]) -> tuple[float, str]:
-    return -item[1], item[0]
-
-
 @dataclass
 class StateDistribution:
     """Probability per measured bitstring.
@@ -390,13 +386,17 @@ class StateDistribution:
     def _ranked(self, k: int | None = None) -> list[tuple[str, float]]:
         """Outcomes by falling probability, ties broken lexicographically.
 
-        With ``k`` only the first k are selected, without a full sort;
-        ``heapq.nsmallest`` equals ``sorted(...)[:k]`` for the same key.
+        Probabilities are ranked rounded to 1e-12, so outcomes that are equal
+        up to rounding noise (by a symmetry of the graph) fall to the
+        bitstring order.  With ``k`` only the first k are selected, without a
+        full sort; both paths order by the same (rank, bitstring) pairs.
         """
-        items = self.probabilities.items()
-        if k is None:
-            return sorted(items, key=_rank_key)
-        return heapq.nsmallest(k, items, key=_rank_key)
+        items = list(self.probabilities.items())
+        ranks = -np.round(np.fromiter(self.probabilities.values(), float, len(items)), 12)
+        if k is not None and k < len(items):
+            return [item for _, item in heapq.nsmallest(k, zip(ranks.tolist(), items))]
+        order = np.lexsort((np.array(list(self.probabilities)), ranks))
+        return [items[i] for i in order.tolist()]
 
     def top(self, k: int = 1) -> list[tuple[str, float]]:
         """The k most probable bitstrings, ties broken lexicographically."""
@@ -448,9 +448,13 @@ def measure_distribution(
 
 
 def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> StateDistribution:
-    """Multinomial shot noise applied to an exact distribution."""
-    if shots < 1:
-        raise InputError(f"shots must be >= 1, got {shots}")
+    """Multinomial shot noise applied to an exact distribution.
+
+    ``shots`` must be an int >= 1 and ``seed`` an int >= 0, not a bool.
+    """
+    for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):
+        if type(value) is not int or value < least:
+            raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     keys = sorted(dist.probabilities)
     probs = np.array([dist.probabilities[k] for k in keys])
     probs = probs / probs.sum()

@@ -35,7 +35,6 @@ from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force
 from .qubo import _assignment_from_index
 
 DEFAULT_ENUM_CAP = 30
-REFERENCE_ENUM_CAP = 25
 
 Config = tuple[int, ...]
 """One bit per atom, index position = atom id."""
@@ -96,32 +95,6 @@ def _maximum_sets(masks: Sequence[int], avail: int, size: int) -> list[int]:
 
     grow(avail, size, 0)
     return found
-
-
-def enumerate_mis_reference(
-    graph: AtomGraph, cap: int = REFERENCE_ENUM_CAP
-) -> tuple[int, tuple[Config, ...]]:
-    """Plain bitmask sweep over all 2**n configurations; the test oracle.
-
-    Kept independent of the size search on purpose.
-    """
-    n = graph.atom_count
-    if n > cap:
-        raise CapExceeded(f"reference enumeration capped at {cap} atoms, got {n}")
-    masks = graph.masks
-    best = -1
-    found: list[int] = []
-    for m in range(1 << n):
-        if any(masks[v] & m for v in _bits(m)):
-            continue
-        size = m.bit_count()
-        if size > best:
-            best = size
-            found = [m]
-        elif size == best:
-            found.append(m)
-    configs = tuple(sorted(_assignment_from_index(m, n) for m in found))
-    return -best, configs
 
 
 def enumerate_ground_configs(

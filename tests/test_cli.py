@@ -328,6 +328,17 @@ class TestSimulate:
             rows.append(out.read_text())
         assert rows[0] == rows[1]
 
+    def test_negative_seed_exits_2(self, runner, tmp_path):
+        out = tmp_path / "dist.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "--builtin", "G1", "--steps", "20", "--shots", "10",
+             "--seed", "-1", "-o", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.output.splitlines() == ["error: seed must be an integer >= 0, got -1"]
+        assert not out.exists()
+
     def test_simulation_cap_exits_3(self, runner, tmp_path):
         result = runner.invoke(
             main,

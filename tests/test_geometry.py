@@ -1,4 +1,4 @@
-"""Tests for blockade arithmetic, layout validation, bundled data, placement."""
+"""Tests for blockade arithmetic, layout validation, bundled data, layout I/O."""
 
 import math
 
@@ -9,7 +9,6 @@ from rydqubo.errors import InputError
 from rydqubo.geometry import (
     Layout,
     PhysicalParams,
-    auto_layout,
     blockade_radius,
     builtin_names,
     layout_from_csv,
@@ -306,48 +305,3 @@ class TestLayoutSerialization:
         with pytest.raises(InputError):
             layout_from_csv("x,y\n1,2\n")
 
-
-class TestAutoLayout:
-    def test_path_of_three(self):
-        graph = AtomGraph(
-            [DataCopy(v, 1) for v in range(3)], edges=[(0, 1), (1, 2)]
-        )
-        result = auto_layout(graph, REFERENCE_PARAMS, seed=1)
-        assert result.embeddable
-        assert result.report.ok
-        # Post-condition is re-checked: the returned layout must validate.
-        assert validate_unit_disk(graph, result.layout, REFERENCE_PARAMS).ok
-
-    def test_star(self):
-        graph = AtomGraph(
-            [DataCopy(v, 1) for v in range(4)], edges=[(0, 1), (0, 2), (0, 3)]
-        )
-        result = auto_layout(graph, REFERENCE_PARAMS, seed=1)
-        assert result.embeddable
-
-    def test_dense_graph_may_be_nonembeddable(self):
-        graph = AtomGraph(
-            [DataCopy(v, 1) for v in range(5)],
-            edges=[(a, b) for a in range(5) for b in range(a + 1, 5)],
-        )
-        result = auto_layout(graph, REFERENCE_PARAMS, seed=3, restarts=3, iterations=250)
-        # Either outcome is acceptable; the result must be well-formed.
-        if result.embeddable:
-            assert result.report.ok
-        else:
-            assert result.layout is None
-            assert result.report is not None and not result.report.ok
-
-    def test_deterministic_for_fixed_seed(self):
-        graph = AtomGraph(
-            [DataCopy(v, 1) for v in range(4)], edges=[(0, 1), (1, 2), (2, 3)]
-        )
-        a = auto_layout(graph, REFERENCE_PARAMS, seed=7)
-        b = auto_layout(graph, REFERENCE_PARAMS, seed=7)
-        assert a.embeddable and b.embeddable
-        assert a.layout.positions == b.layout.positions
-
-    def test_single_atom(self):
-        graph = AtomGraph([DataCopy(0, 1)], edges=[])
-        result = auto_layout(graph, REFERENCE_PARAMS, seed=0)
-        assert result.embeddable

@@ -534,6 +534,22 @@ class TestDistributions:
             assert dist.top(k) == ranked[:k]
         assert dist.modal() == "00"
         assert list(dist.to_dict()["probabilities"]) == [bs for bs, _ in ranked]
+        # Equal up to rounding noise: the bitstring order decides, and the
+        # reported probabilities are the unrounded ones.
+        near = StateDistribution({"11": 0.1, "10": 0.3 + 4e-16, "01": 0.3, "00": 0.3 - 4e-16})
+        order = ["00", "01", "10", "11"]
+        for k in (1, 2, len(order)):
+            assert near.top(k) == [(bs, near.probabilities[bs]) for bs in order[:k]]
+        assert list(near.to_dict()["probabilities"]) == order
+
+    def test_symmetric_outcomes_rank_by_bitstring(self):
+        # G1's two atoms are uncoupled twins, so 01 and 10 are equal up to
+        # rounding noise.
+        graph, _ = load_builtin_layout("G1")
+        dist = measure_distribution(evolve(build_hamiltonian(graph), PulseSchedule(), steps=400))
+        top = dist.top(3)
+        assert [bs for bs, _ in top] == ["11", "01", "10"]
+        assert top[1][1] == pytest.approx(top[2][1], abs=1e-12)
 
     def test_sampling_is_seeded(self):
         dist = StateDistribution({"01": 0.75, "10": 0.25})
@@ -542,6 +558,16 @@ class TestDistributions:
         assert a.probabilities == b.probabilities
         assert not a.exact and a.shots == 500
         assert sum(a.probabilities.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "shots, seed",
+        [(0, 0), (2.5, 0), (True, 0), (None, 0), ("10", 0),
+         (10, -1), (10, 1.5), (10, "x"), (10, False), (10, None)],
+    )
+    def test_malformed_sampling_input_raises(self, shots, seed):
+        dist = StateDistribution({"01": 0.75, "10": 0.25})
+        with pytest.raises(InputError, match="shots|seed"):
+            sample_distribution(dist, shots=shots, seed=seed)
 
 
 class TestPostselect:

@@ -25,13 +25,35 @@ from rydqubo.sim import af_predicate
 from rydqubo.solver import (
     certify_equivalence,
     enumerate_ground_configs,
-    enumerate_mis_reference,
     mwis_expand,
     wire_table,
 )
 
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
 F4 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): -1})
+
+REFERENCE_ENUM_CAP = 25
+
+
+def enumerate_mis_reference(graph, cap=REFERENCE_ENUM_CAP):
+    """Plain sweep over all 2**n configurations; the oracle for the size search.
+
+    It reads ``graph.edges``, not the adjacency masks the solver searches,
+    and returns what ``enumerate_ground_configs`` does: ``(-|MIS|, sets)``.
+    """
+    n = graph.atom_count
+    if n > cap:
+        raise CapExceeded(f"reference enumeration capped at {cap} atoms, got {n}")
+    best, found = -1, []
+    for config in product((0, 1), repeat=n):
+        if any(config[a] and config[b] for a, b in graph.edges):
+            continue
+        size = sum(config)
+        if size > best:
+            best, found = size, [config]
+        elif size == best:
+            found.append(config)
+    return -best, tuple(sorted(found))
 
 
 def plain_graph(n, edges):
@@ -74,7 +96,7 @@ class TestEnumerate:
         # 14 disjoint edges: every maximum set takes one atom of each edge.
         edges = [(2 * k, 2 * k + 1) for k in range(14)]
         g = plain_graph(28, edges)
-        assert g.atom_count > solver.REFERENCE_ENUM_CAP
+        assert g.atom_count > REFERENCE_ENUM_CAP
         calls = 0
         mis_size = solver._mis_size
 
@@ -115,6 +137,11 @@ class TestEnumerate:
             if g.atom_count > 20:
                 continue
             assert enumerate_ground_configs(g) == enumerate_mis_reference(g)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_bundled_graphs_match_reference(self, name):
+        graph, _ = load_builtin_layout(name)
+        assert enumerate_ground_configs(graph) == enumerate_mis_reference(graph)
 
 
 def penalty_minima(graph, ratio):
