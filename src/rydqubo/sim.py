@@ -11,14 +11,27 @@ drive and detuning.  The norm is conserved to machine precision for any step
 size, results are bit-for-bit deterministic for a fixed step count, and
 uncoupled atoms under a constant schedule are propagated exactly.
 
-The per-atom rotations are applied block by block: the atoms are split into
-near-equal blocks of at most five, and each block's Kronecker product of 2x2
-rotations acts as one matrix product on the state viewed as a
-(2^s, rest) matrix.  Each product also cycles the block's axes to the end, so
-after the last block the state is back in atom order without a transpose.
-The sweep runs in chunks of steps, each building every stage's rotations
-and block products in one vectorised pass, so the loop over stages only
-multiplies; a chunk stores at most ``_CHUNK_ENTRIES`` complex entries.
+Twin atoms are propagated as one class.  Two atoms are twins when they have
+equal detuning weights and identical coupling rows, which makes them
+uncoupled; ideal-blockade data copies and offsets are twins, while van der
+Waals mode, which couples every pair, and unequal weights never make any.
+The Hamiltonian is exchange-symmetric within a class and |0...0> is
+symmetric, so a class of k atoms is one (k+1)-level axis that counts its
+excited atoms m in the normalised Dicke basis.  Its rotation is the
+symmetric power of the atoms' 2x2 rotation and two classes interact through
+U m_c m_d.  At the end the state is expanded to all 2^n bitstrings,
+psi(bits) = psi_red(m) / sqrt(prod_c C(k_c, m_c)).  When no atom has a twin
+the reduced basis is the bitstring basis and nothing is expanded.
+
+The rotations are applied block by block: the class axes are split into
+near-equal blocks of dimension at most 32 (five atoms without twins), and
+each block's Kronecker product of class rotations acts as one matrix
+product on the state viewed as a (dim, rest) matrix.  Each product also
+cycles the block's axes to the end, so after the last block the state is
+back in class order without a transpose.  The sweep runs in chunks of
+steps, each building every stage's rotations and block products in one
+vectorised pass, so the loop over stages only multiplies; a chunk stores at
+most ``_CHUNK_ENTRIES`` complex entries.
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
@@ -27,13 +40,15 @@ in atom order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,15 +60,18 @@ from .qubo import check_assignment
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
-# Atoms per Kronecker block of the rotation kernel: a 32x32 block keeps the
-# stored products small while one matrix product replaces five axis passes.
-_BLOCK_ATOMS = 5
+# Largest dimension of a Kronecker block of the rotation kernel: a 32x32
+# block keeps the stored products small while one matrix product replaces
+# five axis passes.
+_BLOCK_DIM = 32
 # Steps are swept in chunks whose stored blocks hold at most this many complex
 # entries (4 MiB), whatever the step count.
 _CHUNK_ENTRIES = 1 << 18
 _TWO_PI = 2.0 * math.pi
 # Largest drift of a state's norm from 1 that evolve and measure accept.
 _NORM_TOL = 1e-6
+# numpy's multinomial draws int64 counts.
+_MAX_SHOTS = 2**63 - 1
 
 # Fourth-order (triple-jump) composition coefficients for symmetric steps.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -206,14 +224,40 @@ def build_hamiltonian(
     return HamiltonianSpec(n=n, couplings=tuple(couplings), detuning_weights=weights)
 
 
-def _interaction_energy(spec: HamiltonianSpec) -> np.ndarray:
-    """Interaction energy sum U_ab n_a n_b of every basis state."""
-    n = spec.n
-    index = np.arange(1 << n, dtype=np.int64)
-    interaction = np.zeros(1 << n)
+def _twin_classes(spec: HamiltonianSpec) -> list[list[int]]:
+    """Atoms grouped by detuning weight and coupling row, in order of first atom.
+
+    Identical rows force twins to be uncoupled: a's row holds U_ab where b's
+    holds 0.
+    """
+    rows = [[0.0] * spec.n for _ in range(spec.n)]
     for a, b, u in spec.couplings:
-        # atom k is bit n-1-k of the index
-        interaction += u * ((index >> (n - 1 - a)) & (index >> (n - 1 - b)) & 1)
+        rows[a][b] += u
+        rows[b][a] += u
+    classes: dict[tuple, list[int]] = {}
+    for atom, (w, row) in enumerate(zip(spec.detuning_weights, rows)):
+        classes.setdefault((w, *row), []).append(atom)
+    return list(classes.values())
+
+
+def _interaction_energy(spec: HamiltonianSpec, classes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Interaction energy sum U_cd m_c m_d of every basis state of the class axes.
+
+    Twins share their coupling rows, so the couplings between the first atoms
+    of two classes are those of every cross pair.
+    """
+    first = {members[0]: c for c, members in enumerate(classes)}
+    dims = [len(members) + 1 for members in classes]
+    total = math.prod(dims)
+    # Excited atoms m_c of every basis state; class 0 is the leading axis.
+    counts = []
+    for c, dim in enumerate(dims):
+        inner = math.prod(dims[c + 1:])
+        counts.append(np.tile(np.repeat(np.arange(dim), inner), total // (dim * inner)))
+    interaction = np.zeros(total)
+    for a, b, u in spec.couplings:
+        if a in first and b in first:
+            interaction += u * (counts[first[a]] * counts[first[b]])
     return interaction
 
 
@@ -244,35 +288,127 @@ def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rot
 
 
-def _block_sizes(n: int) -> list[int]:
-    """Near-equal split of n atoms into blocks of at most ``_BLOCK_ATOMS``."""
-    count = -(-n // _BLOCK_ATOMS)
-    base, extra = divmod(n, count)
-    return [base + 1] * extra + [base] * (count - extra)
+@functools.cache
+def _dicke_terms(k: int) -> tuple[np.ndarray, ...]:
+    """Exponents, coefficients and entry starts of ``_symmetric_power``'s sum for k atoms."""
+    i, j, l = np.indices((k + 1,) * 3).reshape(3, -1)
+    keep = (l <= np.minimum(i, j)) & (i + j - l <= k)
+    i, j, l = i[keep], j[keep], l[keep]
+    comb = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(k + 1)], dtype=float)
+    coef = np.sqrt(comb[k, j] / comb[k, i]) * comb[j, l] * comb[k - j, i - l]
+    # Terms run in (i, j) order, at least one per entry.
+    starts = np.flatnonzero(np.diff(i * (k + 1) + j, prepend=-1))
+    terms = (l, i + j - 2 * l, k - i - j + l, coef, starts)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
 
 
-def _kron_stages(rot: np.ndarray, key: Sequence[int]) -> np.ndarray:
-    """Kronecker product of the rotations of weight groups ``key``, per stage.
+def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
+    """R^(x)k on the normalised Dicke states of k atoms, per stage.
 
-    ``rot`` has shape (stages, weights, 2, 2); the result has shape
-    (stages, 2^s, 2^s), with the first factor as the most significant bit,
-    matching the state's axes.
+    ``rot`` has shape (stages, 2, 2) and is symmetric; the result has shape
+    (stages, k+1, k+1) and is symmetric too.  Entry (i, j), for i and j
+    excited atoms, is sqrt(C(k,j)/C(k,i)) sum_l C(j,l) C(k-j,i-l) r11^l
+    r01^(i+j-2l) r00^(k-i-j+l): l excited atoms stay excited and i-l of the
+    k-j ground atoms are excited.
     """
-    out = rot[:, key[0]]
-    for g in key[1:]:
-        m = 2 * out.shape[1]
-        out = (out[:, :, None, :, None] * rot[:, g, None, :, None, :]).reshape(-1, m, m)
+    if k == 1:
+        return rot
+    e11, e01, e00, coef, starts = _dicke_terms(k)
+    # Powers 0..k of r00, r01 and r11, per stage.
+    powers = np.ones((len(rot), 3, k + 1), dtype=np.complex128)
+    base = rot.reshape(-1, 4)[:, [0, 1, 3], None]
+    powers[:, :, 1:] = np.cumprod(np.broadcast_to(base, base.shape[:2] + (k,)), axis=2)
+    terms = coef * powers[:, 2, e11] * powers[:, 1, e01] * powers[:, 0, e00]
+    return np.add.reduceat(terms, starts, axis=1).reshape(-1, k + 1, k + 1)
+
+
+def _block_split(sizes: Sequence[int]) -> list[int]:
+    """Near-equal split of consecutive classes into blocks of dimension at most ``_BLOCK_DIM``.
+
+    ``sizes`` holds each class's atom count, a class of k atoms being an axis
+    of dimension k+1; returns the number of classes per block.  The count of
+    blocks is what the atoms would need without twins, at most five atoms a
+    block, so twins shrink the blocks rather than their number.  Each block
+    takes classes while its dimension stays within the remaining dimension's
+    equal share, rounded up to a power of two; if classes are left over it
+    tries one more block.  A class larger than ``_BLOCK_DIM`` is a block of
+    its own.  With n classes of one atom this is n atoms in near-equal blocks
+    of at most five, larger blocks first.
+    """
+    dims = [k + 1 for k in sizes]
+    count = 1
+    while _BLOCK_DIM**count < 2 ** sum(sizes):
+        count += 1
+    while True:
+        split: list[int] = []
+        rest = dims
+        for blocks_left in range(count, 0, -1):
+            if not rest:
+                break
+            remaining = math.prod(rest)
+            share = 1
+            while share**blocks_left < remaining:
+                share *= 2
+            size, dim = 1, rest[0]
+            while size < len(rest) and dim * rest[size] <= min(share, _BLOCK_DIM):
+                dim *= rest[size]
+                size += 1
+            split.append(size)
+            rest = rest[size:]
+        if not rest:
+            return split
+        count += 1
+
+
+def _kron_stages(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of per-stage matrices, per stage.
+
+    Each factor has shape (stages, d, d); the result has shape
+    (stages, D, D), D the product of the d, with the first factor as the
+    most significant axis, matching the state's axes.
+    """
+    out = factors[0]
+    for factor in factors[1:]:
+        m = out.shape[1] * factor.shape[1]
+        out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(-1, m, m)
     return out
 
 
+def _expand(psi: np.ndarray, classes: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The 2^n bitstring amplitudes of a state on the class axes.
+
+    Bitstring amplitude = psi(m) / sqrt(prod_c C(k_c, m_c)), m_c the excited
+    atoms of class c.
+    """
+    dims = [len(members) + 1 for members in classes]
+    owner = {atom: c for c, members in enumerate(classes) for atom in members}
+    strides = [math.prod(dims[c + 1:]) for c in range(len(dims))]
+
+    def offsets(atoms: range) -> np.ndarray:
+        """Class-axis offset of every setting of ``atoms``, the first most significant."""
+        out = np.zeros(1, dtype=np.int64)
+        for atom in reversed(atoms):
+            out = np.concatenate((out, out + strides[owner[atom]]))
+        return out
+
+    # Class-axis index of every bitstring, atom 0 the most significant bit.
+    index = np.add.outer(offsets(range(n // 2)), offsets(range(n // 2, n))).reshape(-1)
+    scale = np.ones(1)
+    for dim in reversed(dims):
+        scale = np.outer([math.comb(dim - 1, m) ** -0.5 for m in range(dim)], scale).reshape(-1)
+    return (psi * scale)[index]
+
+
 def _apply_blocks(psi: np.ndarray, blocks: Sequence[np.ndarray], stage: int) -> np.ndarray:
-    """Product of per-atom symmetric 2x2 rotations; returns the new state.
+    """Product of per-class symmetric rotations; returns the new state.
 
     ``blocks[k][stage]`` is the Kronecker product of the rotations of block
-    k's atoms.  With the block's atoms as the leading axes,
-    ``psi.reshape(2^s, -1).T @ block`` applies it (the product is symmetric)
-    and moves those axes to the end.  The block sizes sum to n, so after the
-    last block the axes are back in order.
+    k's classes.  With the block's axes leading,
+    ``psi.reshape(dim, -1).T @ block`` applies it (the product is symmetric)
+    and moves those axes to the end.  The blocks cover every class axis, so
+    after the last block the axes are back in order.
     """
     for block in blocks:
         psi = psi.reshape(block.shape[1], -1).T @ block[stage]
@@ -287,10 +423,11 @@ def evolve(
 ) -> np.ndarray:
     """Propagate |0...0> through the schedule; returns the final state vector.
 
-    Each step composes three symmetric split steps V(d/2) R(d) V(d/2), with
-    V the interaction phase and R the per-atom rotations at the stage
-    midpoint.  Every factor is exactly unitary, so the norm guard below is a
-    self-check rather than a tuning knob.  Halving the step size is the
+    The state is swept on the twin-class axes and returned on all 2^n
+    bitstrings.  Each step composes three symmetric split steps
+    V(d/2) R(d) V(d/2), with V the interaction phase and R the per-class
+    rotations at the stage midpoint.  Every factor is exactly unitary, so
+    the norm guard below is a self-check rather than a tuning knob.  Halving the step size is the
     accuracy test: reported probabilities move by far less than 1e-4 at the
     default step count.
     """
@@ -300,20 +437,24 @@ def evolve(
     if type(steps) is not int or steps < 1:
         raise InputError(f"steps must be an integer >= 1, got {steps!r}")
 
-    # Atoms of equal weight share one rotation per stage, and blocks of
-    # equal weight groups share one array of Kronecker products.
+    # Twins share one class axis, classes of equal weight and size share one
+    # rotation per stage, and blocks of equal classes share one array of
+    # Kronecker products.
+    classes = _twin_classes(spec)
     weights = sorted(set(spec.detuning_weights))
-    group = [weights.index(w) for w in spec.detuning_weights]
-    keys = [tuple(group[a:b]) for a, b in pairwise(accumulate(_block_sizes(n), initial=0))]
-    distinct = set(keys)
+    factor = [(weights.index(spec.detuning_weights[members[0]]), len(members)) for members in classes]
+    split = _block_split([len(members) for members in classes])
+    keys = [tuple(factor[a:b]) for a, b in pairwise(accumulate(split, initial=0))]
+    distinct = {key: math.prod(k + 1 for _, k in key) for key in keys}
+    block_dims = [distinct[key] for key in keys]
     # Three stages per step.
-    chunk = max(1, _CHUNK_ENTRIES // (3 * sum(4 ** len(key) for key in distinct)))
+    chunk = max(1, _CHUNK_ENTRIES // (3 * sum(dim**2 for dim in distinct.values())))
 
     h = schedule.total_time / steps
     d1, d2, d3 = _W1 * h, _W0 * h, _W1 * h
     # The interaction and the two distinct half-stage durations are fixed,
     # so both diagonal phase vectors are precomputed.
-    interaction = _interaction_energy(spec)
+    interaction = _interaction_energy(spec, classes)
     u_half = np.exp(-1j * _TWO_PI * (d1 / 2.0) * interaction)
     u_merged = np.exp(-1j * _TWO_PI * ((d1 + d2) / 2.0) * interaction)
 
@@ -330,10 +471,21 @@ def evolve(
             (math.pi * omega * durations)[:, None],
             (math.pi * delta)[:, None] * np.array(weights) * durations[:, None],
         )
-        built = {key: _kron_stages(rot, key) for key in distinct}
+        mats = {f: _symmetric_power(rot[:, f[0]], f[1]) for f in set(factor)}
+        built = {key: _kron_stages([mats[f] for f in key]) for key in distinct}
         return [built[key] for key in keys]
 
-    psi = np.zeros(1 << n, dtype=np.complex128)
+    # Until something loads logging no handler exists to take the record, so
+    # the package never loads it itself.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("rydqubo").debug(
+            "evolve: atoms=%d classes=%d twins=%s basis=%d full=%d blocks=%s steps=%d",
+            n, len(classes), [c for c in classes if len(c) > 1], len(interaction), 1 << n,
+            block_dims, steps,
+        )
+
+    psi = np.zeros(len(interaction), dtype=np.complex128)
     psi[0] = 1.0
 
     check_every = max(1, steps // 40)
@@ -357,7 +509,7 @@ def evolve(
                     )
         # Free this chunk's blocks before the next chunk builds its own.
         del blocks
-    return psi
+    return psi if len(classes) == n else _expand(psi, classes, n)
 
 
 # ----------------------------------------------------------------------
@@ -405,12 +557,17 @@ class StateDistribution:
     def modal(self) -> str:
         return self.top(1)[0][0]
 
-    def to_csv(self) -> str:
+    def to_csv(self, ranked: Sequence[tuple[str, float]] | None = None) -> str:
+        """Every outcome as a CSV row, by falling probability.
+
+        Pass ``ranked``, a full ranking already taken with
+        ``top(len(self.probabilities))``, to write it without ranking again.
+        """
         lines = []
         if self.atom_labels:
             lines.append("# atom order: " + ",".join(self.atom_labels))
         lines.append("bitstring,probability")
-        for bs, p in self._ranked():
+        for bs, p in self._ranked() if ranked is None else ranked:
             lines.append(f"{bs},{p:.12g}")
         return "\n".join(lines) + "\n"
 
@@ -443,18 +600,23 @@ def measure_distribution(
     labels = tuple(atom_labels) if atom_labels is not None else None
     if labels is not None and len(labels) != n:
         raise InputError("atom label count does not match the state size")
-    table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
+    # Bitstrings in index order; a one-amplitude state reads "0" (zip stops
+    # at the shorter), as format(0, "b") does.
+    table = dict(zip(map("".join, product("01", repeat=max(n, 1))), probs.tolist()))
     return StateDistribution(probabilities=table, exact=True, atom_labels=labels)
 
 
 def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> StateDistribution:
     """Multinomial shot noise applied to an exact distribution.
 
-    ``shots`` must be an int >= 1 and ``seed`` an int >= 0, not a bool.
+    ``shots`` must be an int in [1, 2**63 - 1], numpy's largest count, and
+    ``seed`` an int >= 0, not a bool.
     """
     for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):
         if type(value) is not int or value < least:
             raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    if shots > _MAX_SHOTS:
+        raise InputError(f"shots must be at most {_MAX_SHOTS}, got {shots}")
     keys = sorted(dist.probabilities)
     probs = np.array([dist.probabilities[k] for k in keys])
     probs = probs / probs.sum()

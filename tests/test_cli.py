@@ -339,6 +339,19 @@ class TestSimulate:
         assert result.output.splitlines() == ["error: seed must be an integer >= 0, got -1"]
         assert not out.exists()
 
+    def test_shots_above_int64_exit_2(self, runner, tmp_path):
+        out = tmp_path / "dist.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "--builtin", "G1", "--steps", "20", "--shots",
+             "100000000000000000000", "-o", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "error: shots must be at most 9223372036854775807, got 100000000000000000000"
+        ]
+        assert not out.exists()
+
     def test_simulation_cap_exits_3(self, runner, tmp_path):
         result = runner.invoke(
             main,

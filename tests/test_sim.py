@@ -1,5 +1,6 @@
 """Tests for the pulse schedule, Hamiltonian assembly, and propagation."""
 
+import logging
 import math
 import tracemalloc
 
@@ -68,6 +69,13 @@ def reference_rotation(a, b):
     """exp(-i (a sx - 2 b n)) by diagonalising the 2x2 generator: the reference rotation."""
     energies, vectors = np.linalg.eigh(np.array([[0.0, a], [a, -2.0 * b]]))
     return vectors @ np.diag(np.exp(-1j * energies)) @ vectors.T
+
+
+def block_sizes_reference(n):
+    """Near-equal split of n atoms into blocks of at most five, larger blocks first."""
+    count = -(-n // 5)
+    base, extra = divmod(n, count)
+    return [base + 1] * extra + [base] * (count - extra)
 
 
 def reference_sweep(spec, schedule, steps):
@@ -350,9 +358,10 @@ class TestEvolve:
             evolve(spec, PulseSchedule(), steps=10, cap=2)
 
     def test_invalid_arguments_fail_before_any_allocation(self, monkeypatch):
-        def no_allocation(spec):
+        def no_allocation(*args):
             raise AssertionError("state allocated before the arguments were checked")
 
+        monkeypatch.setattr(sim, "_twin_classes", no_allocation)
         monkeypatch.setattr(sim, "_interaction_energy", no_allocation)
         spec = HamiltonianSpec(n=2)
         for steps in (2.5, True, 0, -3, "10"):
@@ -386,13 +395,15 @@ class TestEvolve:
 
 class TestRotationKernel:
     def test_block_sizes(self):
-        assert sim._block_sizes(15) == [5, 5, 5]
-        assert sim._block_sizes(11) == [4, 4, 3]
-        assert sim._block_sizes(1) == [1]
+        # Classes of one atom split like atoms: near-equal blocks of at most five.
+        assert sim._block_split([1] * 15) == [5, 5, 5]
+        assert sim._block_split([1] * 11) == [4, 4, 3]
+        assert sim._block_split([1]) == [1]
         for n in range(1, 17):
-            sizes = sim._block_sizes(n)
+            sizes = sim._block_split([1] * n)
+            assert sizes == block_sizes_reference(n)
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
-            assert max(sizes) <= sim._BLOCK_ATOMS
+            assert 2 ** max(sizes) <= sim._BLOCK_DIM
 
     def test_rotations_match_the_matrix_exponential(self):
         rng = np.random.default_rng(7)
@@ -416,10 +427,10 @@ class TestRotationKernel:
             rng.uniform(-1.0, 1.0, size=(stages, 1)) * weights,
         )
         keys, start = [], 0
-        for size in sim._block_sizes(n):
+        for size in sim._block_split([1] * n):
             keys.append(tuple(group[start:start + size]))
             start += size
-        blocks = [sim._kron_stages(rot, key) for key in keys]
+        blocks = [sim._kron_stages([rot[:, g] for g in key]) for key in keys]
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
         for stage in range(stages):
@@ -448,7 +459,7 @@ class TestRotationKernel:
         # A distinct weight per atom makes every block distinct, so a step
         # stores 3 * sum(4^s) entries: seven steps fit in one chunk, and the
         # last of 15 chunks holds two.
-        per_step = 3 * sum(4**size for size in sim._block_sizes(n))
+        per_step = 3 * sum(4**size for size in sim._block_split([1] * n))
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 7 * per_step + per_step // 2)
         chunked = evolve(spec, PulseSchedule(), steps=steps)
         assert np.max(np.abs(chunked - whole)) <= 1e-13
@@ -478,6 +489,124 @@ class TestRotationKernel:
             tracemalloc.stop()
         assert peaks[4000] <= 16 * 2**20
         assert abs(peaks[4000] - peaks[400]) <= 2**20
+
+
+BUNDLED = ["G1", "G2", "G3", "G4", "G5P", "G6P", "G_LNK", "G_NOT", "G7"]
+
+
+def star_spec(leaves):
+    """One hub blockaded with every leaf; the leaves form one twin class."""
+    return HamiltonianSpec(n=leaves + 1, couplings=tuple((0, k, 50.0) for k in range(1, leaves + 1)))
+
+
+class TestTwinClasses:
+    def test_classes_of_the_bundled_graphs(self):
+        expected = {"G1": [[0, 1]], "G4": [[0, 1, 2]], "G6P": [[3, 4], [5, 6], [8, 9]], "G_NOT": [], "G7": [[0, 1], [13, 14]]}
+        for name, twins in expected.items():
+            graph, layout = load_builtin_layout(name)
+            classes = sim._twin_classes(build_hamiltonian(graph))
+            assert sorted(sum(classes, [])) == list(range(graph.atom_count))
+            assert [c for c in classes if len(c) > 1] == twins
+            # Every pair is coupled in vdW mode, and unequal weights split twins.
+            n = graph.atom_count
+            for spec in (
+                build_hamiltonian(graph, mode=HamiltonianMode.FULL_VDW, layout=layout),
+                build_hamiltonian(graph, detuning_weights=[1.0 + k for k in range(n)]),
+            ):
+                assert sim._twin_classes(spec) == [[k] for k in range(n)]
+
+    def test_coupled_atoms_are_never_twins(self):
+        # Atoms 0 and 1 see atom 2 alike, but their own coupling tells them apart.
+        spec = HamiltonianSpec(n=3, couplings=((0, 1, 5.0), (0, 2, 5.0), (1, 2, 5.0)))
+        assert sim._twin_classes(spec) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_symmetric_power_is_the_dicke_projection(self, k):
+        rng = np.random.default_rng(20 + k)
+        a = rng.uniform(-2.0, 2.0, size=4)
+        b = rng.uniform(-2.0, 2.0, size=4)
+        rot = sim._rotations(a, b)
+        # Column m: the normalised sum of the bitstrings with m excited atoms.
+        excited = np.array([bin(index).count("1") for index in range(1 << k)])
+        dicke = np.stack([(excited == m) / math.sqrt(math.comb(k, m)) for m in range(k + 1)], axis=1)
+        got = sim._symmetric_power(rot, k)
+        assert got.shape == (4, k + 1, k + 1)
+        for stage in range(4):
+            power = np.ones((1, 1))
+            for _ in range(k):
+                power = np.kron(power, rot[stage])
+            assert np.max(np.abs(got[stage] - dicke.T @ power @ dicke)) <= 1e-13
+
+    def test_block_split_bounds_every_block(self):
+        # G7: classes {0,1} and {13,14} around eleven single atoms.
+        assert sim._block_split([2] + [1] * 11 + [2]) == [4, 5, 4]  # dimensions 24, 32, 24
+        assert sim._block_split([3, 1, 1, 1]) == [2, 2]  # G4: dimensions 8, 4
+        assert sim._block_split([40]) == [1]  # a class above the bound is a block of its own
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            sizes = list(rng.integers(1, 6, size=rng.integers(1, 12)))
+            split = sim._block_split(sizes)
+            assert sum(split) == len(sizes)
+            assert len(split) <= -(-sum(sizes) // 5) + len(sizes)
+            start = 0
+            for count in split:
+                assert math.prod(k + 1 for k in sizes[start:start + count]) <= sim._BLOCK_DIM
+                start += count
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reduced_evolve_matches_the_reference(self, name):
+        graph, _ = load_builtin_layout(name)
+        spec = build_hamiltonian(graph)
+        steps = 30 if name == "G7" else 200
+        fast = evolve(spec, PulseSchedule(), steps=steps)
+        slow = reference_sweep(spec, PulseSchedule(), steps=steps)
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    def test_star_with_fifteen_twin_leaves(self):
+        spec = star_spec(15)
+        assert sim._twin_classes(spec) == [[0], list(range(1, 16))]
+        schedule = PulseSchedule(total_time=0.6)
+        fast = evolve(spec, schedule, steps=3)
+        slow = reference_sweep(spec, schedule, steps=3)
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["G4", "G6P", "G7"])
+    def test_permuted_twins_have_equal_probabilities(self, name):
+        graph, _ = load_builtin_layout(name)
+        spec = build_hamiltonian(graph)
+        probabilities = measure_distribution(evolve(spec, PulseSchedule(), steps=100)).probabilities
+        classes = sim._twin_classes(spec)
+        seen = {}
+        for bits, p in probabilities.items():
+            # Sorting the bits inside each class picks one representative per orbit.
+            canonical = list(bits)
+            for members in classes:
+                for atom, bit in zip(members, sorted(bits[a] for a in members)):
+                    canonical[atom] = bit
+            seen.setdefault("".join(canonical), set()).add(p)
+        assert all(len(values) == 1 for values in seen.values())
+        assert len(seen) == math.prod(len(c) + 1 for c in classes)
+
+    def test_chunk_boundaries_in_the_twin_basis(self, monkeypatch):
+        graph, _ = load_builtin_layout("G3")
+        spec = build_hamiltonian(graph)
+        whole = evolve(spec, PulseSchedule(), steps=100)
+        # Blocks of dimension 6 and 12 store 3 * (36 + 144) entries a step:
+        # seven and a half steps fit, so the last of 15 chunks holds two.
+        for entries in (7 * 540 + 270, 1):
+            monkeypatch.setattr(sim, "_CHUNK_ENTRIES", entries)
+            assert np.max(np.abs(evolve(spec, PulseSchedule(), steps=100) - whole)) <= 1e-13
+
+    def test_evolve_logs_one_debug_record(self, caplog):
+        graph, _ = load_builtin_layout("G7")
+        with caplog.at_level(logging.DEBUG, logger="rydqubo"):
+            evolve(build_hamiltonian(graph), PulseSchedule(), steps=2)
+            evolve(HamiltonianSpec(n=3), PulseSchedule(), steps=5)
+        assert [r.getMessage() for r in caplog.records] == [
+            "evolve: atoms=15 classes=13 twins=[[0, 1], [13, 14]] basis=18432 full=32768 "
+            "blocks=[24, 32, 24] steps=2",
+            "evolve: atoms=3 classes=1 twins=[[0, 1, 2]] basis=4 full=8 blocks=[4] steps=5",
+        ]
 
 
 class TestAdiabaticConsistency:
@@ -562,7 +691,7 @@ class TestDistributions:
     @pytest.mark.parametrize(
         "shots, seed",
         [(0, 0), (2.5, 0), (True, 0), (None, 0), ("10", 0),
-         (10, -1), (10, 1.5), (10, "x"), (10, False), (10, None)],
+         (10, -1), (10, 1.5), (10, "x"), (10, False), (10, None), (2**63, 0)],
     )
     def test_malformed_sampling_input_raises(self, shots, seed):
         dist = StateDistribution({"01": 0.75, "10": 0.25})
