@@ -95,12 +95,21 @@ def layout_to_dict(layout: Layout) -> dict:
     }
 
 
+def _place(positions: dict, atom, x: float, y: float) -> None:
+    """Add one atom to ``positions``, refusing an id placed twice."""
+    if atom in positions:
+        raise InputError(f"layout places atom {atom!r} twice")
+    positions[atom] = (x, y)
+
+
 def layout_from_dict(data: Mapping) -> Layout:
+    positions: dict = {}
     try:
-        entries = data["positions"]
-        return Layout({e["id"]: (float(e["x"]), float(e["y"])) for e in entries})
+        for e in data["positions"]:
+            _place(positions, e["id"], float(e["x"]), float(e["y"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed layout document: {exc}") from exc
+    return Layout(positions)
 
 
 def layout_to_csv(layout: Layout) -> str:
@@ -114,15 +123,16 @@ def layout_from_csv(text: str) -> Layout:
     rows = [line.strip() for line in text.splitlines() if line.strip()]
     if not rows or rows[0].replace(" ", "") != "id,x,y":
         raise InputError("layout CSV must start with header 'id,x,y'")
-    positions = {}
+    positions: dict = {}
     for row in rows[1:]:
         parts = row.split(",")
         if len(parts) != 3:
             raise InputError(f"malformed layout CSV row: {row!r}")
         try:
-            positions[int(parts[0])] = (float(parts[1]), float(parts[2]))
+            atom, x, y = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise InputError(f"malformed layout CSV row: {row!r}") from exc
+        _place(positions, atom, x, y)
     return Layout(positions)
 
 

@@ -296,6 +296,9 @@ def qubo_from_dict(data: Mapping) -> QuboInstance:
             i = int(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"linear key {key!r} is not an integer") from exc
+        # One spelling per variable: "01", "+1", " 1 " and "1_0" would alias.
+        if key != str(i):
+            raise InputError(f"linear key {key!r} is not a plain decimal integer")
         if not 1 <= i <= n:
             raise InputError(f"linear index {i} out of range [1, {n}]")
         linear[i - 1] = value

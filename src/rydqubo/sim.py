@@ -21,10 +21,10 @@ excited atoms m in the normalised Dicke basis.  Its rotation is the
 symmetric power of the atoms' 2x2 rotation and two classes interact through
 U m_c m_d.  At the end the state is expanded to all 2^n bitstrings,
 psi(bits) = psi_red(m) / sqrt(prod_c C(k_c, m_c)).  When no atom has a twin
-the reduced basis is the bitstring basis and nothing is expanded.
+the reduced basis is the bitstring basis and the expansion is the identity.
 
 The rotations are applied block by block: the class axes are split into
-near-equal blocks of dimension at most 32 (five atoms without twins), and
+near-equal blocks of at most five atoms, so of dimension at most 32, and
 each block's Kronecker product of class rotations acts as one matrix
 product on the state viewed as a (dim, rest) matrix.  Each product also
 cycles the block's axes to the end, so after the last block the state is
@@ -40,7 +40,6 @@ in atom order.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -60,10 +59,6 @@ from .qubo import check_assignment
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
-# Largest dimension of a Kronecker block of the rotation kernel: a 32x32
-# block keeps the stored products small while one matrix product replaces
-# five axis passes.
-_BLOCK_DIM = 32
 # Steps are swept in chunks whose stored blocks hold at most this many complex
 # entries (4 MiB), whatever the step count.
 _CHUNK_ENTRIES = 1 << 18
@@ -240,6 +235,12 @@ def _twin_classes(spec: HamiltonianSpec) -> list[list[int]]:
     return list(classes.values())
 
 
+def _class_counts(classes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Excited atoms m_c of every class-axis basis state, class 0 leading; shape (classes, basis)."""
+    # int16 is a quarter of int64's memory and holds m_c m_d for classes of up to 181 atoms.
+    return np.indices([len(members) + 1 for members in classes], dtype=np.int16).reshape(len(classes), -1)
+
+
 def _interaction_energy(spec: HamiltonianSpec, classes: Sequence[Sequence[int]]) -> np.ndarray:
     """Interaction energy sum U_cd m_c m_d of every basis state of the class axes.
 
@@ -247,14 +248,8 @@ def _interaction_energy(spec: HamiltonianSpec, classes: Sequence[Sequence[int]])
     of two classes are those of every cross pair.
     """
     first = {members[0]: c for c, members in enumerate(classes)}
-    dims = [len(members) + 1 for members in classes]
-    total = math.prod(dims)
-    # Excited atoms m_c of every basis state; class 0 is the leading axis.
-    counts = []
-    for c, dim in enumerate(dims):
-        inner = math.prod(dims[c + 1:])
-        counts.append(np.tile(np.repeat(np.arange(dim), inner), total // (dim * inner)))
-    interaction = np.zeros(total)
+    counts = _class_counts(classes)
+    interaction = np.zeros(counts.shape[1])
     for a, b, u in spec.couplings:
         if a in first and b in first:
             interaction += u * (counts[first[a]] * counts[first[b]])
@@ -288,78 +283,55 @@ def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rot
 
 
-@functools.cache
-def _dicke_terms(k: int) -> tuple[np.ndarray, ...]:
-    """Exponents, coefficients and entry starts of ``_symmetric_power``'s sum for k atoms."""
-    i, j, l = np.indices((k + 1,) * 3).reshape(3, -1)
-    keep = (l <= np.minimum(i, j)) & (i + j - l <= k)
-    i, j, l = i[keep], j[keep], l[keep]
-    comb = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(k + 1)], dtype=float)
-    coef = np.sqrt(comb[k, j] / comb[k, i]) * comb[j, l] * comb[k - j, i - l]
-    # Terms run in (i, j) order, at least one per entry.
-    starts = np.flatnonzero(np.diff(i * (k + 1) + j, prepend=-1))
-    terms = (l, i + j - 2 * l, k - i - j + l, coef, starts)
-    for array in terms:
-        array.flags.writeable = False
-    return terms
-
-
 def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
     """R^(x)k on the normalised Dicke states of k atoms, per stage.
 
     ``rot`` has shape (stages, 2, 2) and is symmetric; the result has shape
-    (stages, k+1, k+1) and is symmetric too.  Entry (i, j), for i and j
-    excited atoms, is sqrt(C(k,j)/C(k,i)) sum_l C(j,l) C(k-j,i-l) r11^l
-    r01^(i+j-2l) r00^(k-i-j+l): l excited atoms stay excited and i-l of the
-    k-j ground atoms are excited.
+    (stages, k+1, k+1) and is symmetric too.  Each of the k-j ground atoms of
+    a state with j excited atoms goes to r00 + r10 t and each excited atom
+    to r01 + r11 t, t marking an excited atom, so entry (i, j) is
+    sqrt(C(k,j)/C(k,i)) times the coefficient of t^i in
+    (r00 + r10 t)^(k-j) (r01 + r11 t)^j.
     """
-    if k == 1:
-        return rot
-    e11, e01, e00, coef, starts = _dicke_terms(k)
-    # Powers 0..k of r00, r01 and r11, per stage.
-    powers = np.ones((len(rot), 3, k + 1), dtype=np.complex128)
-    base = rot.reshape(-1, 4)[:, [0, 1, 3], None]
-    powers[:, :, 1:] = np.cumprod(np.broadcast_to(base, base.shape[:2] + (k,)), axis=2)
-    terms = coef * powers[:, 2, e11] * powers[:, 1, e01] * powers[:, 0, e00]
-    return np.add.reduceat(terms, starts, axis=1).reshape(-1, k + 1, k + 1)
+    # poly[i, j] is the t^i coefficient of column j's product so far, per
+    # stage (the last axis, so every pass runs over contiguous stages).
+    # Factor f of column j is column 1 of R, an excited atom, if f < j.
+    columns = rot.transpose(1, 2, 0)
+    poly = np.zeros((k + 1, k + 1, len(rot)), dtype=np.complex128)
+    poly[0] = 1.0
+    for f in range(k):
+        low, high = columns[:, (np.arange(k + 1) > f).astype(np.intp)]
+        carry = poly[:-1] * high
+        poly *= low
+        poly[1:] += carry
+    comb = np.array([math.comb(k, m) for m in range(k + 1)], dtype=float)
+    poly *= np.sqrt(comb / comb[:, None])[:, :, None]
+    return np.ascontiguousarray(poly.transpose(2, 0, 1))
 
 
 def _block_split(sizes: Sequence[int]) -> list[int]:
-    """Near-equal split of consecutive classes into blocks of dimension at most ``_BLOCK_DIM``.
+    """Near-equal split of consecutive classes into blocks of at most five atoms.
 
-    ``sizes`` holds each class's atom count, a class of k atoms being an axis
-    of dimension k+1; returns the number of classes per block.  The count of
-    blocks is what the atoms would need without twins, at most five atoms a
-    block, so twins shrink the blocks rather than their number.  Each block
-    takes classes while its dimension stays within the remaining dimension's
-    equal share, rounded up to a power of two; if classes are left over it
-    tries one more block.  A class larger than ``_BLOCK_DIM`` is a block of
-    its own.  With n classes of one atom this is n atoms in near-equal blocks
-    of at most five, larger blocks first.
+    ``sizes`` holds each class's atom count; returns the number of classes
+    per block.  Each block takes classes while its atoms stay within the
+    remaining atoms' equal share of the ceil(atoms/5) blocks they need; a
+    class of more than five atoms is a block of its own.  A class of k atoms
+    is an axis of dimension k+1 <= 2^k, so every other block has dimension
+    at most 32.  One-atom classes split like atoms, larger blocks first.
     """
-    dims = [k + 1 for k in sizes]
-    count = 1
-    while _BLOCK_DIM**count < 2 ** sum(sizes):
-        count += 1
-    while True:
-        split: list[int] = []
-        rest = dims
-        for blocks_left in range(count, 0, -1):
-            if not rest:
-                break
-            remaining = math.prod(rest)
-            share = 1
-            while share**blocks_left < remaining:
-                share *= 2
-            size, dim = 1, rest[0]
-            while size < len(rest) and dim * rest[size] <= min(share, _BLOCK_DIM):
-                dim *= rest[size]
-                size += 1
-            split.append(size)
-            rest = rest[size:]
-        if not rest:
-            return split
-        count += 1
+    split: list[int] = []
+    rest = list(sizes)
+    while rest:
+        atoms = sum(rest)
+        blocks = -(-atoms // 5)
+        share = -(-atoms // blocks)
+        count, taken = 1, rest[0]
+        while count < len(rest) and taken + rest[count] <= share:
+            taken += rest[count]
+            count += 1
+        split.append(count)
+        rest = rest[count:]
+    return split
 
 
 def _kron_stages(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -383,21 +355,12 @@ def _expand(psi: np.ndarray, classes: Sequence[Sequence[int]], n: int) -> np.nda
     atoms of class c.
     """
     dims = [len(members) + 1 for members in classes]
-    owner = {atom: c for c, members in enumerate(classes) for atom in members}
-    strides = [math.prod(dims[c + 1:]) for c in range(len(dims))]
-
-    def offsets(atoms: range) -> np.ndarray:
-        """Class-axis offset of every setting of ``atoms``, the first most significant."""
-        out = np.zeros(1, dtype=np.int64)
-        for atom in reversed(atoms):
-            out = np.concatenate((out, out + strides[owner[atom]]))
-        return out
-
+    scale = np.ones(len(psi))
+    for dim, m in zip(dims, _class_counts(classes)):
+        scale /= np.sqrt([math.comb(dim - 1, j) for j in range(dim)])[m]
     # Class-axis index of every bitstring, atom 0 the most significant bit.
-    index = np.add.outer(offsets(range(n // 2)), offsets(range(n // 2, n))).reshape(-1)
-    scale = np.ones(1)
-    for dim in reversed(dims):
-        scale = np.outer([math.comb(dim - 1, m) ** -0.5 for m in range(dim)], scale).reshape(-1)
+    stride = {atom: math.prod(dims[c + 1:]) for c, members in enumerate(classes) for atom in members}
+    index = sum(np.ix_(*([0, stride[atom]] for atom in range(n)))).reshape(-1)
     return (psi * scale)[index]
 
 
@@ -509,7 +472,7 @@ def evolve(
                     )
         # Free this chunk's blocks before the next chunk builds its own.
         del blocks
-    return psi if len(classes) == n else _expand(psi, classes, n)
+    return _expand(psi, classes, n)
 
 
 # ----------------------------------------------------------------------

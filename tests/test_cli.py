@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -70,6 +74,18 @@ class TestCompile:
         write_json(qubo, {"n": 2, "linear": [1, 2]})
         result = runner.invoke(main, ["compile", str(qubo)])
         assert result.exit_code == 2, result.output
+        # Linear keys that int() reads but that are not the one spelling of
+        # their variable: "01" would overwrite "1", "1_0" would be 10.
+        for doc in (
+            {"n": 2, "linear": {"1": -1, "01": 3, "2": -1}},
+            {"n": 10, "linear": {"1_0": -1}},
+            {"n": 2, "linear": {" 2 ": -1}},
+            {"n": 3, "linear": {"+3": -1}},
+        ):
+            write_json(qubo, doc)
+            result = runner.invoke(main, ["certify", str(qubo)])
+            assert result.exit_code == 2, (doc, result.output)
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1
         # Graph documents whose atoms lack a role or are not objects, one
         # whose edge names an atom by a JSON boolean, and ones whose role or
         # wire fields are not JSON integers or name variable 0 (1-based).
@@ -120,6 +136,21 @@ class TestCompile:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, result.output
             assert result.output == "error: layout places atoms [5] that the graph does not have\n"
+        # G3's layout with a second atom 1 placed first, 0.5 um from atom 0,
+        # as a JSON document and as a CSV file.
+        g3, g3_layout = load_builtin_layout("G3")
+        write_json(graph, graph_to_dict(g3))
+        doc = layout_to_dict(g3_layout)
+        doc["positions"].insert(1, {"id": 1, "x": 0.5, "y": 0})
+        write_json(layout, doc)
+        csv_layout = tmp_path / "layout.csv"
+        csv_layout.write_text(
+            "id,x,y\n" + "".join(f"{e['id']},{e['x']},{e['y']}\n" for e in doc["positions"]), encoding="utf-8"
+        )
+        for path in (layout, csv_layout):
+            result = runner.invoke(main, ["validate", str(graph), str(path)])
+            assert result.exit_code == 2, result.output
+            assert result.output == "error: layout places atom 1 twice\n"
         # NaN fails every comparison, so it must be rejected before any check
         # or sweep runs; G4's non-edges at 10.75 um lie inside a 20 um radius.
         dist = str(tmp_path / "d.csv")
@@ -387,3 +418,23 @@ class TestDecodedArtifacts:
         runner.invoke(main, ["compile", str(qubo), "-o", str(graph_path)])
         graph = graph_from_dict(json.loads(graph_path.read_text()))
         assert try_decode(graph, "1101101") == (1, 0)
+
+
+def test_the_package_never_imports_logging():
+    # evolve and certify_equivalence log only once something else has loaded
+    # logging.  pytest loads it, so a fresh interpreter checks the package.
+    script = """
+import sys
+import rydqubo.cli
+from rydqubo.geometry import load_builtin_layout
+from rydqubo.sim import build_hamiltonian, evolve
+from rydqubo.solver import certify_equivalence
+graph, _ = load_builtin_layout("G3")
+assert certify_equivalence(graph.source, graph).passed
+evolve(build_hamiltonian(graph), steps=5)
+assert "logging" not in sys.modules, "logging was imported"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -403,7 +403,7 @@ class TestRotationKernel:
             sizes = sim._block_split([1] * n)
             assert sizes == block_sizes_reference(n)
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
-            assert 2 ** max(sizes) <= sim._BLOCK_DIM
+            assert 2 ** max(sizes) <= 32
 
     def test_rotations_match_the_matrix_exponential(self):
         rng = np.random.default_rng(7)
@@ -537,10 +537,21 @@ class TestTwinClasses:
                 power = np.kron(power, rot[stage])
             assert np.max(np.abs(got[stage] - dicke.T @ power @ dicke)) <= 1e-13
 
+    def test_one_atom_classes_take_the_atom_rotation_exactly(self):
+        rng = np.random.default_rng(5)
+        rot = sim._rotations(rng.uniform(-2.0, 2.0, size=4), rng.uniform(-2.0, 2.0, size=4))
+        assert np.array_equal(sim._symmetric_power(rot, 1), rot)
+
+    def test_one_atom_classes_expand_to_the_state_itself(self):
+        n = 6
+        rng = np.random.default_rng(6)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        assert np.array_equal(sim._expand(psi, [[k] for k in range(n)], n), psi)
+
     def test_block_split_bounds_every_block(self):
         # G7: classes {0,1} and {13,14} around eleven single atoms.
         assert sim._block_split([2] + [1] * 11 + [2]) == [4, 5, 4]  # dimensions 24, 32, 24
-        assert sim._block_split([3, 1, 1, 1]) == [2, 2]  # G4: dimensions 8, 4
+        assert sim._block_split([3, 1, 1, 1]) == [1, 3]  # G4: dimensions 4, 8
         assert sim._block_split([40]) == [1]  # a class above the bound is a block of its own
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -550,7 +561,9 @@ class TestTwinClasses:
             assert len(split) <= -(-sum(sizes) // 5) + len(sizes)
             start = 0
             for count in split:
-                assert math.prod(k + 1 for k in sizes[start:start + count]) <= sim._BLOCK_DIM
+                block = sizes[start:start + count]
+                assert sum(block) <= 5 or count == 1
+                assert math.prod(k + 1 for k in block) <= 32
                 start += count
 
     @pytest.mark.parametrize("name", BUNDLED)
