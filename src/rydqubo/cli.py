@@ -265,10 +265,9 @@ def cmd_simulate(
         dist = postselect(dist, af_predicate(graph))
     if shots is not None:
         dist = sample_distribution(dist, shots=shots, seed=seed)
-    ranked = dist.top(len(dist.probabilities))
     with open(output, "w", encoding="utf-8") as handle:
-        handle.write(dist.to_csv(ranked))
-    top_bits, top_prob = ranked[0]
+        handle.write(dist.to_csv())
+    top_bits, top_prob = dist.top(1)[0]
     assignment = try_decode(graph, top_bits)
     summary = {
         "output": output,

@@ -198,13 +198,13 @@ def validate_unit_disk(
     params: PhysicalParams | None = None,
     margin: float = 0.0,
     d_r: float | None = None,
-    min_spacing: float = DEFAULT_MIN_SPACING,
 ) -> ValidationReport:
     """Check that coordinates realise exactly the graph's edge set.
 
     ``d_r`` defaults to the blockade radius of ``params``.  ``margin``
     widens only the non-edge requirement; declared edges are held to the
-    radius itself, with remaining slack reported.
+    radius itself, with remaining slack reported.  Atoms closer than
+    ``DEFAULT_MIN_SPACING`` are spacing violations.
     """
     params = params or PhysicalParams()
     radius = blockade_radius(params) if d_r is None else float(d_r)
@@ -224,7 +224,7 @@ def validate_unit_disk(
         for b in range(a + 1, graph.atom_count):
             d = layout.distance(a, b)
             min_pair = d if min_pair is None else min(min_pair, d)
-            if d < min_spacing:
+            if d < DEFAULT_MIN_SPACING:
                 spacing_violations.append((a, b, d))
             if (a, b) in graph.edges:
                 max_edge = d if max_edge is None else max(max_edge, d)
@@ -243,7 +243,7 @@ def validate_unit_disk(
         ok=ok,
         d_r=radius,
         margin=margin,
-        min_spacing=min_spacing,
+        min_spacing=DEFAULT_MIN_SPACING,
         max_edge_distance=max_edge,
         min_nonedge_distance=min_nonedge,
         min_pair_distance=min_pair,

@@ -40,7 +40,7 @@ in atom order.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import json
 import math
 import numbers
@@ -73,6 +73,18 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 
 
+def _clamp_time(t: float, total: float) -> float:
+    """``t`` clamped to [0, total]; refuses a t further outside than 1e-9 * total, or NaN."""
+    if not -1e-9 * total <= t <= total * (1 + 1e-9):
+        raise InputError(f"schedule evaluated at t={t} outside [0, {total}]")
+    return min(max(t, 0.0), total)
+
+
+def _real_type(kind: type) -> bool:
+    """Whether values of type ``kind`` are real numbers; bools are not."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Piecewise-linear drive and detuning ramps over one sweep.
@@ -98,9 +110,7 @@ class PulseSchedule:
 
     def value(self, t: float) -> tuple[float, float]:
         total = self.total_time
-        if t < -1e-9 * total or t > total * (1 + 1e-9):
-            raise InputError(f"schedule evaluated at t={t} outside [0, {total}]")
-        t = min(max(t, 0.0), total)
+        t = _clamp_time(t, total)
         up = self.t1 * total
         down = self.t2 * total
         if t < up:
@@ -129,8 +139,7 @@ class ConstantSchedule:
             raise InputError(f"total_time must be positive, got {self.total_time}")
 
     def value(self, t: float) -> tuple[float, float]:
-        if t < -1e-9 or t > self.total_time * (1 + 1e-9):
-            raise InputError(f"schedule evaluated at t={t} outside [0, {self.total_time}]")
+        _clamp_time(t, self.total_time)
         return self.omega, self.delta
 
 
@@ -158,7 +167,7 @@ class HamiltonianSpec:
             weights = tuple(self.detuning_weights) or tuple(1.0 for _ in range(self.n))
         except TypeError as exc:
             raise InputError(f"detuning_weights must be a sequence, got {self.detuning_weights!r}") from exc
-        if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights):
+        if not all(_real_type(type(w)) for w in weights):
             raise InputError(f"detuning_weights must be real numbers, got {weights!r}")
         weights = tuple(float(w) for w in weights)
         if len(weights) != self.n:
@@ -166,10 +175,16 @@ class HamiltonianSpec:
         if not all(math.isfinite(w) for w in weights):
             raise InputError(f"detuning_weights must be finite, got {weights}")
         object.__setattr__(self, "detuning_weights", weights)
+        try:
+            triples = [(a, b, u) for a, b, u in self.couplings]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"couplings must be (atom, atom, strength) triples: {exc}") from exc
         cleaned = []
-        for a, b, u in self.couplings:
+        for a, b, u in triples:
             if type(a) is not int or type(b) is not int or not (0 <= a < self.n and 0 <= b < self.n) or a == b:
                 raise InputError(f"coupling ({a}, {b}) is not a valid pair")
+            if not _real_type(type(u)):
+                raise InputError(f"coupling ({a}, {b}) strength must be a real number, got {u!r}")
             if not (math.isfinite(u) and u >= 0):
                 raise InputError(f"coupling ({a}, {b}) strength must be finite and nonnegative, got {u}")
             cleaned.append((min(a, b), max(a, b), float(u)))
@@ -484,8 +499,9 @@ def evolve(
 class StateDistribution:
     """Probability per measured bitstring.
 
-    ``exact`` distinguishes Born probabilities from sampled frequencies;
-    probabilities always sum to one within 1e-9.
+    ``exact`` distinguishes Born probabilities from sampled frequencies.
+    Probabilities are nonnegative reals summing to one within 1e-9; the
+    outcomes are ranked on first read, so do not change the table after.
     """
 
     probabilities: dict[str, float]
@@ -494,43 +510,43 @@ class StateDistribution:
     atom_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        total = sum(self.probabilities.values())
+        values = self.probabilities.values()
+        if not all(map(_real_type, set(map(type, values)))):
+            raise InputError("probabilities must be real numbers")
+        probs = np.fromiter(values, float, len(values))
+        if (probs < 0).any():
+            raise InputError(f"probabilities must be nonnegative, got {probs.min()}")
+        total = float(probs.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise InputError(f"probabilities sum to {total}, expected 1")
 
-    def _ranked(self, k: int | None = None) -> list[tuple[str, float]]:
-        """Outcomes by falling probability, ties broken lexicographically.
+    @functools.cached_property
+    def _ranking(self) -> list[tuple[str, float]]:
+        """Every outcome by falling probability, then by bitstring; taken once.
 
-        Probabilities are ranked rounded to 1e-12, so outcomes that are equal
-        up to rounding noise (by a symmetry of the graph) fall to the
-        bitstring order.  With ``k`` only the first k are selected, without a
-        full sort; both paths order by the same (rank, bitstring) pairs.
+        Probabilities are ranked rounded to 1e-12, so outcomes equal up to
+        rounding noise (by a symmetry of the graph) order by bitstring.
         """
-        items = list(self.probabilities.items())
-        ranks = -np.round(np.fromiter(self.probabilities.values(), float, len(items)), 12)
-        if k is not None and k < len(items):
-            return [item for _, item in heapq.nsmallest(k, zip(ranks.tolist(), items))]
-        order = np.lexsort((np.array(list(self.probabilities)), ranks))
-        return [items[i] for i in order.tolist()]
+        items = sorted(self.probabilities.items())
+        ranks = -np.round(np.fromiter((p for _, p in items), float, len(items)), 12)
+        return [items[i] for i in np.argsort(ranks, kind="stable").tolist()]
 
     def top(self, k: int = 1) -> list[tuple[str, float]]:
         """The k most probable bitstrings, ties broken lexicographically."""
-        return self._ranked(k)
+        if type(k) is not int or k < 0:
+            raise InputError(f"k must be an integer >= 0, got {k!r}")
+        return self._ranking[:k]
 
     def modal(self) -> str:
-        return self.top(1)[0][0]
+        return self._ranking[0][0]
 
-    def to_csv(self, ranked: Sequence[tuple[str, float]] | None = None) -> str:
-        """Every outcome as a CSV row, by falling probability.
-
-        Pass ``ranked``, a full ranking already taken with
-        ``top(len(self.probabilities))``, to write it without ranking again.
-        """
+    def to_csv(self) -> str:
+        """Every outcome as a CSV row, by falling probability."""
         lines = []
         if self.atom_labels:
             lines.append("# atom order: " + ",".join(self.atom_labels))
         lines.append("bitstring,probability")
-        for bs, p in self._ranked() if ranked is None else ranked:
+        for bs, p in self._ranking:
             lines.append(f"{bs},{p:.12g}")
         return "\n".join(lines) + "\n"
 
@@ -539,7 +555,7 @@ class StateDistribution:
             "atom_order": list(self.atom_labels) if self.atom_labels else None,
             "exact": self.exact,
             "shots": self.shots,
-            "probabilities": dict(self._ranked()),
+            "probabilities": dict(self._ranking),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -551,9 +567,11 @@ def measure_distribution(
 ) -> StateDistribution:
     """Born probabilities of every bitstring in atom order."""
     state = np.asarray(state, dtype=np.complex128)
+    if state.ndim != 1:
+        raise InputError(f"state must be a 1-D vector, got shape {state.shape}")
     dim = state.shape[0]
     n = dim.bit_length() - 1
-    if dim != 1 << n:
+    if dim == 0 or dim != 1 << n:
         raise InputError(f"state dimension {dim} is not a power of two")
     probs = np.abs(state) ** 2
     total = float(probs.sum())

@@ -129,6 +129,19 @@ class TestSchedule:
         with pytest.raises(InputError):
             s.value(2.6)
 
+    @pytest.mark.parametrize("total", [1e-12, 1.0, 1e6])
+    def test_both_schedules_allow_the_same_relative_slack(self, total):
+        for schedule in (PulseSchedule(total_time=total), ConstantSchedule(1.0, 1.0, total)):
+            for t in (-0.5e-9 * total, total * (1 + 0.5e-9)):
+                schedule.value(t)
+            for t in (-2e-9 * total, total * (1 + 2e-9), math.nan):
+                with pytest.raises(InputError, match="outside"):
+                    schedule.value(t)
+        assert PulseSchedule(total_time=1e6).value(-5e-4) == (0.0, -4.0)
+        assert ConstantSchedule(1.0, 1.0, 1e6).value(-5e-4) == (1.0, 1.0)
+        with pytest.raises(InputError, match="outside"):
+            ConstantSchedule(1.0, 1.0, 1e-12).value(-5e-10)
+
     def test_fraction_invariants(self):
         with pytest.raises(InputError):
             PulseSchedule(t1=0.9, t2=0.1)
@@ -204,6 +217,12 @@ class TestBuildHamiltonian:
         for n in (0, 2.5, True):
             with pytest.raises(InputError, match="positive integer"):
                 HamiltonianSpec(n=n)
+        for couplings in (5, None, (7,), ((0, 1),), ((0, 1, 1.0, 2.0),)):
+            with pytest.raises(InputError, match="triples"):
+                HamiltonianSpec(n=2, couplings=couplings)
+        for bad in (True, np.bool_(True), "5", None):
+            with pytest.raises(InputError, match="must be a real number"):
+                HamiltonianSpec(n=2, couplings=((0, 1, bad),))
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 HamiltonianSpec(n=2, couplings=((0, 1, bad),))
@@ -651,10 +670,24 @@ class TestDistributions:
             measure_distribution(np.ones(4, dtype=complex))
         with pytest.raises(InputError, match="not normalised"):
             measure_distribution(np.full(4, np.nan, dtype=complex))
+        for state in (np.eye(2) / np.sqrt(2), np.array(1.0)):
+            with pytest.raises(InputError, match="1-D"):
+                measure_distribution(state)
+        with pytest.raises(InputError, match="power of two"):
+            measure_distribution(np.zeros(0))
 
     def test_probability_sum_invariant(self):
         with pytest.raises(InputError):
             StateDistribution({"0": 0.5, "1": 0.4})
+        with pytest.raises(InputError, match="sum to"):
+            StateDistribution({})
+        with pytest.raises(InputError, match="nonnegative"):
+            StateDistribution({"0": 1.5, "1": -0.5})
+        for bad in ({"0": "1"}, {"0": None, "1": 1.0}, {"0": True}, {"0": np.bool_(True)}):
+            with pytest.raises(InputError, match="real numbers"):
+                StateDistribution(bad)
+        with pytest.raises(InputError, match="sum to nan"):
+            StateDistribution({"0": math.nan, "1": 1.0})
 
     def test_csv_format(self):
         dist = StateDistribution({"01": 0.75, "10": 0.25}, atom_labels=("a", "b"))
@@ -670,19 +703,44 @@ class TestDistributions:
         assert list(doc["probabilities"]) == ["01", "10"]
 
     def test_top_is_the_prefix_of_the_full_ranking(self):
-        dist = StateDistribution({"11": 0.1, "01": 0.3, "10": 0.3, "00": 0.3})
-        ranked = sorted(dist.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
-        for k in (1, 2, len(ranked)):
-            assert dist.top(k) == ranked[:k]
-        assert dist.modal() == "00"
-        assert list(dist.to_dict()["probabilities"]) == [bs for bs, _ in ranked]
+        plain = StateDistribution({"11": 0.1, "01": 0.3, "10": 0.3, "00": 0.3})
         # Equal up to rounding noise: the bitstring order decides, and the
         # reported probabilities are the unrounded ones.
         near = StateDistribution({"11": 0.1, "10": 0.3 + 4e-16, "01": 0.3, "00": 0.3 - 4e-16})
-        order = ["00", "01", "10", "11"]
-        for k in (1, 2, len(order)):
-            assert near.top(k) == [(bs, near.probabilities[bs]) for bs in order[:k]]
-        assert list(near.to_dict()["probabilities"]) == order
+        bundled = [
+            measure_distribution(evolve(build_hamiltonian(load_builtin_layout(name)[0]), steps=40))
+            for name in BUNDLED
+        ]
+        for dist in [plain, near, *bundled]:
+            ranked = sorted(dist.probabilities.items(), key=lambda kv: (-round(kv[1], 12), kv[0]))
+            for k in (0, 1, 2, 3, len(ranked)):
+                assert dist.top(k) == ranked[:k]
+            assert dist.modal() == ranked[0][0]
+            assert list(dist.to_dict()["probabilities"].items()) == ranked
+            assert dist.to_csv().splitlines()[1:] == [f"{bs},{p:.12g}" for bs, p in ranked]
+        assert plain.modal() == "00"
+        assert [bs for bs, _ in near.top(4)] == ["00", "01", "10", "11"]
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True, None, "1", np.int64(1)])
+    def test_top_refuses_a_k_that_is_not_a_count(self, k):
+        dist = StateDistribution({"01": 0.75, "10": 0.25})
+        with pytest.raises(InputError, match="k must be"):
+            dist.top(k)
+
+    def test_every_reader_shares_one_ranking(self, monkeypatch):
+        sorts = []
+        argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        given = {"11": 0.1, "01": 0.3, "10": 0.3, "00": 0.3}
+        dist = StateDistribution(dict(given))
+        dist.top(1), dist.top(3), dist.modal(), dist.to_csv(), dist.to_dict()
+        assert len(sorts) == 1
+        assert list(dist.probabilities.items()) == list(given.items())
 
     def test_symmetric_outcomes_rank_by_bitstring(self):
         # G1's two atoms are uncoupled twins, so 01 and 10 are equal up to
