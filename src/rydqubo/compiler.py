@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import CapExceeded, GraphError, InputError, RydquboError
+from .errors import CapExceeded, GraphError, InputError, RydquboError, require_int
 from .qubo import Assignment, QuboInstance, check_assignment, qubo_from_dict, qubo_to_dict
 
 DEFAULT_MAX_ATOMS = 5000
@@ -131,8 +131,8 @@ class AtomGraph:
                 a, b = edge
             except (TypeError, ValueError) as exc:
                 raise GraphError(f"edge {edge!r} is not a pair") from exc
-            if type(a) is not int or type(b) is not int:
-                raise GraphError(f"edge {edge!r} has non-integer endpoints")
+            a = require_int(a, "edge endpoint", None, GraphError)
+            b = require_int(b, "edge endpoint", None, GraphError)
             if a == b:
                 raise GraphError(f"self-loop on atom {a}")
             if not (0 <= a < n_atoms and 0 <= b < n_atoms):
@@ -152,10 +152,14 @@ class AtomGraph:
         if len(set(self.labels)) != n_atoms:
             raise GraphError("atom labels must be unique")
 
+        # An offset must attach to a copy of its own variable, so checking
+        # the copies' variables covers offsets too, once an offset's index
+        # is itself an int: False == 0 would match a copy of variable 0.
         copies: dict[int, list[int]] = {}
         for atom, role in enumerate(roles):
             if isinstance(role, DataCopy):
-                copies.setdefault(role.var, []).append(atom)
+                var = require_int(role.var, "data copy variable index", 0, GraphError)
+                copies.setdefault(var, []).append(atom)
         self.var_copies: dict[int, tuple[int, ...]] = {
             v: tuple(ids) for v, ids in sorted(copies.items())
         }
@@ -200,12 +204,6 @@ class AtomGraph:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
-        # An offset must attach to a copy of its own variable, so checking
-        # the copies' variables covers offsets too, once an offset's index
-        # is itself an int: False == 0 would match a copy of variable 0.
-        for v in self.var_copies:
-            if type(v) is not int or v < 0:
-                raise GraphError(f"data copies have variable index {v!r}, not an int >= 0")
         masks = self.masks
         copy_masks = {v: sum(1 << a for a in ids) for v, ids in self.var_copies.items()}
         for v in range(self.n_vars):
@@ -214,8 +212,7 @@ class AtomGraph:
 
         for atom, role in enumerate(self.roles):
             if isinstance(role, Offset):
-                if type(role.var) is not int:
-                    raise GraphError(f"offset atom {atom} has variable index {role.var!r}, not an int")
+                require_int(role.var, "offset variable index", error=GraphError)
                 degree = masks[atom].bit_count()
                 if degree != 1:
                     raise GraphError(
@@ -327,12 +324,7 @@ def _role_to_dict(role: AtomRole) -> dict:
 
 def _int_field(data: Mapping, key: str, least: int | None = None) -> int:
     """``data[key]``, which must be a JSON integer (not a float or boolean) >= ``least``."""
-    value = data[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{key} must be >= {least}, got {value}")
-    return value
+    return require_int(data[key], key, least, ValueError)
 
 
 def role_from_dict(data: Mapping) -> AtomRole:
@@ -403,8 +395,8 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
     for entry in atoms:
         if not isinstance(entry, Mapping) or "role" not in entry:
             raise InputError(f"atom entry {entry!r} must be an object with a 'role'")
-    ids = [entry.get("id") for entry in atoms]
-    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(atoms))):
+    ids = [require_int(entry.get("id"), "atom id") for entry in atoms]
+    if sorted(ids) != list(range(len(atoms))):
         raise InputError("atom ids must be exactly 0..N-1")
     ordered = sorted(atoms, key=lambda entry: entry["id"])
     roles = [role_from_dict(entry["role"]) for entry in ordered]
@@ -456,10 +448,12 @@ class WireLengthPolicy:
     odd_atoms: int = 1
 
     def __post_init__(self) -> None:
-        if self.even_atoms < 2 or self.even_atoms % 2:
-            raise InputError(f"even_atoms must be even and >= 2, got {self.even_atoms}")
-        if self.odd_atoms < 1 or self.odd_atoms % 2 == 0:
-            raise InputError(f"odd_atoms must be odd and >= 1, got {self.odd_atoms}")
+        object.__setattr__(self, "even_atoms", require_int(self.even_atoms, "even_atoms", 2))
+        object.__setattr__(self, "odd_atoms", require_int(self.odd_atoms, "odd_atoms", 1))
+        if self.even_atoms % 2:
+            raise InputError(f"even_atoms must be even, got {self.even_atoms}")
+        if self.odd_atoms % 2 == 0:
+            raise InputError(f"odd_atoms must be odd, got {self.odd_atoms}")
 
 
 def planned_atom_count(q: QuboInstance, policy: WireLengthPolicy | None = None) -> int:

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Mapping
 
 from .compiler import AtomGraph, role_from_dict, wire_from_dict
-from .errors import InputError, require_finite
+from .errors import InputError, require_finite, require_int, require_real
 from .qubo import qubo_from_dict
 
 DEFAULT_C6 = 1023e3  # (2 pi) MHz um^6
@@ -59,16 +59,12 @@ class Layout:
     def __post_init__(self) -> None:
         cleaned: dict[int, tuple[float, float]] = {}
         for atom, pos in dict(self.positions).items():
-            if type(atom) is not int:
-                raise InputError(f"atom id {atom!r} is not an integer")
+            atom = require_int(atom, "atom id")
             try:
                 x, y = pos
-                x, y = float(x), float(y)
             except (TypeError, ValueError) as exc:
-                raise InputError(f"position of atom {atom!r} is not an (x, y) pair") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InputError(f"position of atom {atom!r} is not finite: {pos!r}")
-            cleaned[atom] = (x, y)
+                raise InputError(f"position of atom {atom} is not an (x, y) pair") from exc
+            cleaned[atom] = (require_real(x, f"x of atom {atom}"), require_real(y, f"y of atom {atom}"))
         self.positions = cleaned
 
     def distance(self, a: int, b: int) -> float:
@@ -106,7 +102,7 @@ def layout_from_dict(data: Mapping) -> Layout:
     positions: dict = {}
     try:
         for e in data["positions"]:
-            _place(positions, e["id"], float(e["x"]), float(e["y"]))
+            _place(positions, e["id"], e["x"], e["y"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed layout document: {exc}") from exc
     return Layout(positions)
@@ -207,11 +203,10 @@ def validate_unit_disk(
     ``DEFAULT_MIN_SPACING`` are spacing violations.
     """
     params = params or PhysicalParams()
-    radius = blockade_radius(params) if d_r is None else float(d_r)
-    if not (math.isfinite(radius) and radius > 0):
-        raise InputError(f"d_r must be finite and positive, got {radius}")
-    if not (math.isfinite(margin) and margin >= 0):
-        raise InputError(f"margin must be finite and nonnegative, got {margin}")
+    radius = blockade_radius(params) if d_r is None else require_real(d_r, "d_r")
+    if not radius > 0:
+        raise InputError(f"d_r must be positive, got {radius}")
+    margin = require_real(margin, "margin", 0)
     layout.check_atoms(graph.atom_count)
 
     edge_violations = []

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, require_int
 
 Assignment = tuple[int, ...]
 """One bit per variable, index position = variable index."""
@@ -31,27 +31,14 @@ ENUM_CHUNK = 1 << 16
 
 
 def _coerce_coefficient(value: object, where: str) -> int:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: boolean is not a valid coefficient")
-    if isinstance(value, float) or isinstance(value, Fraction):
-        raise InputError(
-            f"{where}: non-integer coefficient {value!r}; "
-            "use normalize_to_integers() for rational input"
-        )
-    try:
-        out = int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: not an integer: {value!r}") from exc
-    if out != value:
-        raise InputError(f"{where}: not an integer: {value!r}")
+    out = require_int(value, where)
     if abs(out) > INT64_MAX:
         raise CapExceeded(f"{where}: coefficient {out} exceeds the 64-bit range")
     return out
 
 
 def _coerce_index(value: object, n: int, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: variable index must be an integer, got {value!r}")
+    value = require_int(value, f"{where}: variable index")
     if not 0 <= value < n:
         raise InputError(f"{where}: variable index {value} out of range [0, {n})")
     return value
@@ -75,8 +62,7 @@ class QuboInstance:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"variable count must be a positive integer, got {self.n!r}")
+        self.n = require_int(self.n, "variable count", 1)
         lin: dict[int, int] = {}
         for i, c in dict(self.linear).items():
             i = _coerce_index(i, self.n, "linear")
@@ -111,8 +97,7 @@ class QuboInstance:
 
     def scaled(self, factor: int) -> "QuboInstance":
         """Return the instance with every coefficient multiplied by ``factor`` > 0."""
-        if isinstance(factor, bool) or not isinstance(factor, int) or factor <= 0:
-            raise InputError(f"scaling factor must be a positive integer, got {factor!r}")
+        factor = require_int(factor, "scaling factor", 1)
         return QuboInstance(
             n=self.n,
             linear={i: c * factor for i, c in self.linear.items()},
@@ -198,10 +183,7 @@ def normalize_to_integers(
         except (TypeError, ValueError) as exc:
             raise InputError(f"quadratic key {key!r} is not a pair") from exc
         indices.update((i, j))
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int) or i < 0:
-            raise InputError(f"variable index {i!r} must be a nonnegative integer")
-    n = max(indices) + 1
+    n = max(require_int(i, "variable index", 0) for i in indices) + 1
 
     scale = math.lcm(*(c.denominator for c in (*lin.values(), *quad.values())))
     scaled_lin = {i: c * scale for i, c in lin.items()}
@@ -283,9 +265,7 @@ def qubo_from_dict(data: Mapping) -> QuboInstance:
         raise InputError(f"unknown QUBO fields: {sorted(unknown)}")
     if "n" not in data:
         raise InputError("QUBO document missing field 'n'")
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError(f"'n' must be a positive integer, got {n!r}")
+    n = require_int(data["n"], "'n'", 1)
 
     raw_linear = data.get("linear", {})
     if not isinstance(raw_linear, Mapping):
@@ -310,12 +290,9 @@ def qubo_from_dict(data: Mapping) -> QuboInstance:
     for entry in entries:
         if not isinstance(entry, Mapping) or set(entry) != {"i", "j", "w"}:
             raise InputError(f"malformed quadratic entry: {entry!r}")
-        i, j = entry["i"], entry["j"]
-        for v in (i, j):
-            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n:
-                raise InputError(f"quadratic index {v!r} out of range [1, {n}]")
-        if not i < j:
-            raise InputError(f"quadratic entry requires i < j, got ({i}, {j})")
+        i, j = require_int(entry["i"], "quadratic index"), require_int(entry["j"], "quadratic index")
+        if not 1 <= i < j <= n:
+            raise InputError(f"quadratic entry ({i}, {j}) needs 1 <= i < j <= {n}")
         if (i - 1, j - 1) in quadratic:
             raise InputError(f"duplicate quadratic entry for ({i}, {j})")
         quadratic[(i - 1, j - 1)] = entry["w"]

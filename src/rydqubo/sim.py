@@ -43,17 +43,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, pairwise, product
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .compiler import AtomGraph
-from .errors import CapExceeded, EmptySelection, InputError, SimulationError, require_finite
+from .errors import CapExceeded, EmptySelection, InputError, SimulationError
+from .errors import is_real_type, require_finite, require_int, require_real
 from .geometry import Layout, PhysicalParams, pair_interaction
 from .qubo import check_assignment
 
@@ -78,11 +78,6 @@ def _clamp_time(t: float, total: float) -> float:
     if not -1e-9 * total <= t <= total * (1 + 1e-9):
         raise InputError(f"schedule evaluated at t={t} outside [0, {total}]")
     return min(max(t, 0.0), total)
-
-
-def _real_type(kind: type) -> bool:
-    """Whether values of type ``kind`` are real numbers; bools are not."""
-    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
 @dataclass(frozen=True)
@@ -161,19 +156,14 @@ class HamiltonianSpec:
     detuning_weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise InputError(f"atom count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", require_int(self.n, "atom count", 1))
         try:
             weights = tuple(self.detuning_weights) or tuple(1.0 for _ in range(self.n))
         except TypeError as exc:
             raise InputError(f"detuning_weights must be a sequence, got {self.detuning_weights!r}") from exc
-        if not all(_real_type(type(w)) for w in weights):
-            raise InputError(f"detuning_weights must be real numbers, got {weights!r}")
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(require_real(w, "detuning weight") for w in weights)
         if len(weights) != self.n:
             raise InputError("detuning_weights length must equal the atom count")
-        if not all(math.isfinite(w) for w in weights):
-            raise InputError(f"detuning_weights must be finite, got {weights}")
         object.__setattr__(self, "detuning_weights", weights)
         try:
             triples = [(a, b, u) for a, b, u in self.couplings]
@@ -181,13 +171,10 @@ class HamiltonianSpec:
             raise InputError(f"couplings must be (atom, atom, strength) triples: {exc}") from exc
         cleaned = []
         for a, b, u in triples:
-            if type(a) is not int or type(b) is not int or not (0 <= a < self.n and 0 <= b < self.n) or a == b:
+            a, b = require_int(a, "coupling atom"), require_int(b, "coupling atom")
+            if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
                 raise InputError(f"coupling ({a}, {b}) is not a valid pair")
-            if not _real_type(type(u)):
-                raise InputError(f"coupling ({a}, {b}) strength must be a real number, got {u!r}")
-            if not (math.isfinite(u) and u >= 0):
-                raise InputError(f"coupling ({a}, {b}) strength must be finite and nonnegative, got {u}")
-            cleaned.append((min(a, b), max(a, b), float(u)))
+            cleaned.append((min(a, b), max(a, b), require_real(u, "coupling strength", 0)))
         object.__setattr__(self, "couplings", tuple(sorted(cleaned)))
 
 
@@ -217,7 +204,7 @@ def build_hamiltonian(
     params = params or PhysicalParams()
     n = graph.atom_count
     if mode is HamiltonianMode.IDEAL_BLOCKADE:
-        strength = 10.0 * params.delta if u0 is None else float(u0)
+        strength = 10.0 * params.delta if u0 is None else require_real(u0, "coupling strength u0")
         couplings = [(a, b, strength) for a, b in sorted(graph.edges)]
     elif mode is HamiltonianMode.FULL_VDW:
         if layout is None:
@@ -412,8 +399,7 @@ def evolve(
     schedule = schedule or PulseSchedule()
     n = spec.n
     _check_cap(n, cap)
-    if type(steps) is not int or steps < 1:
-        raise InputError(f"steps must be an integer >= 1, got {steps!r}")
+    steps = require_int(steps, "steps", 1)
 
     # Twins share one class axis, classes of equal weight and size share one
     # rotation per stage, and blocks of equal classes share one array of
@@ -510,10 +496,20 @@ class StateDistribution:
     atom_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = self.probabilities.values()
-        if not all(map(_real_type, set(map(type, values)))):
+        table, labels = self.probabilities, self.atom_labels
+        if not isinstance(table, Mapping) or not all(issubclass(t, str) for t in set(map(type, table))):
+            raise InputError("probabilities must map bitstrings, as str, to probabilities")
+        if labels is not None:
+            if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(isinstance(s, str) for s in labels):
+                raise InputError(f"atom_labels must be a sequence of str, got {labels!r}")
+            self.atom_labels = tuple(labels)
+        values = table.values()
+        if not all(map(is_real_type, set(map(type, values)))):
             raise InputError("probabilities must be real numbers")
-        probs = np.fromiter(values, float, len(values))
+        try:
+            probs = np.fromiter(values, float, len(values))
+        except OverflowError:
+            raise InputError("probabilities must be finite") from None
         if (probs < 0).any():
             raise InputError(f"probabilities must be nonnegative, got {probs.min()}")
         total = float(probs.sum())
@@ -533,9 +529,7 @@ class StateDistribution:
 
     def top(self, k: int = 1) -> list[tuple[str, float]]:
         """The k most probable bitstrings, ties broken lexicographically."""
-        if type(k) is not int or k < 0:
-            raise InputError(f"k must be an integer >= 0, got {k!r}")
-        return self._ranking[:k]
+        return self._ranking[:require_int(k, "k", 0)]
 
     def modal(self) -> str:
         return self._ranking[0][0]
@@ -566,7 +560,10 @@ def measure_distribution(
     state: np.ndarray, atom_labels: Sequence[str] | None = None
 ) -> StateDistribution:
     """Born probabilities of every bitstring in atom order."""
-    state = np.asarray(state, dtype=np.complex128)
+    try:
+        state = np.asarray(state, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"state must be a vector of complex amplitudes: {exc}") from None
     if state.ndim != 1:
         raise InputError(f"state must be a 1-D vector, got shape {state.shape}")
     dim = state.shape[0]
@@ -578,24 +575,22 @@ def measure_distribution(
     if not (abs(math.sqrt(total) - 1.0) <= _NORM_TOL):
         raise InputError(f"state is not normalised (norm {math.sqrt(total):.8f})")
     probs /= total
-    labels = tuple(atom_labels) if atom_labels is not None else None
-    if labels is not None and len(labels) != n:
-        raise InputError("atom label count does not match the state size")
     # Bitstrings in index order; a one-amplitude state reads "0" (zip stops
     # at the shorter), as format(0, "b") does.
     table = dict(zip(map("".join, product("01", repeat=max(n, 1))), probs.tolist()))
-    return StateDistribution(probabilities=table, exact=True, atom_labels=labels)
+    dist = StateDistribution(probabilities=table, exact=True, atom_labels=atom_labels)
+    if dist.atom_labels is not None and len(dist.atom_labels) != n:
+        raise InputError("atom label count does not match the state size")
+    return dist
 
 
 def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> StateDistribution:
     """Multinomial shot noise applied to an exact distribution.
 
-    ``shots`` must be an int in [1, 2**63 - 1], numpy's largest count, and
-    ``seed`` an int >= 0, not a bool.
+    ``shots`` must be an integer in [1, 2**63 - 1], numpy's largest count,
+    and ``seed`` an integer >= 0.
     """
-    for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):
-        if type(value) is not int or value < least:
-            raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    shots, seed = require_int(shots, "shots", 1), require_int(seed, "seed", 0)
     if shots > _MAX_SHOTS:
         raise InputError(f"shots must be at most {_MAX_SHOTS}, got {shots}")
     keys = sorted(dist.probabilities)

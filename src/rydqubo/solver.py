@@ -24,13 +24,12 @@ assignments x.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, require_int
 from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
 from .qubo import _assignment_from_index
 
@@ -395,17 +394,7 @@ def mwis_expand(
     every maximum independent set is copy-unanimous and ``decode`` recovers
     the maximum weighted independent sets of the input.
     """
-    parsed = []
-    for v, w in enumerate(weights):
-        if isinstance(w, bool):
-            raise InputError(f"weight of vertex {v} must be an integer, got {w!r}")
-        try:
-            w = operator.index(w)
-        except TypeError as exc:
-            raise InputError(f"weight of vertex {v} must be an integer, got {w!r}") from exc
-        if w < 1:
-            raise InputError(f"weight of vertex {v} must be >= 1, got {w}")
-        parsed.append(w)
+    parsed = [require_int(w, "vertex weight", 1) for w in weights]
     if not parsed:
         raise InputError("weighted graph needs at least one vertex")
     n = len(parsed)
@@ -425,7 +414,8 @@ def mwis_expand(
             a, b = edge
         except (TypeError, ValueError) as exc:
             raise InputError(f"edge {edge!r} is not a pair") from exc
-        if type(a) is not int or type(b) is not int or not (0 <= a < n and 0 <= b < n) or a == b:
+        a, b = require_int(a, "edge endpoint"), require_int(b, "edge endpoint")
+        if not (0 <= a < n and 0 <= b < n) or a == b:
             raise InputError(f"edge {edge!r} is not valid for {n} vertices")
         for ca in copy_ids[a]:
             for cb in copy_ids[b]:

@@ -118,13 +118,15 @@ class TestCompile:
         result = runner.invoke(main, ["certify", str(qubo), str(graph)])
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
-        # A layout whose atom id is not an integer.
+        # Layouts whose atom id is not an integer or whose coordinate is a
+        # JSON boolean or string, which float() would have read as 1.0 or 20.5.
         write_json(graph, {"atoms": two_atoms, "edges": []})
         layout = tmp_path / "layout.json"
-        write_json(layout, {"positions": [{"id": 0, "x": 0, "y": 0}, {"id": 1.7, "x": 20, "y": 0}]})
-        result = runner.invoke(main, ["validate", str(graph), str(layout)])
-        assert result.exit_code == 2, result.output
-        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        for second in ({"id": 1.7, "x": 20, "y": 0}, {"id": 1, "x": True, "y": 0}, {"id": 1, "x": "20.5", "y": 0}):
+            write_json(layout, {"positions": [{"id": 0, "x": 0, "y": 0}, second]})
+            result = runner.invoke(main, ["validate", str(graph), str(layout)])
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1
         # A layout that places an id the graph lacks, 1 um from atom 0.
         positions = [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 20, "y": 0}, {"id": 5, "x": 1, "y": 0}]
         write_json(layout, {"positions": positions})

@@ -240,6 +240,10 @@ class TestCompile:
             WireLengthPolicy(even_atoms=3)
         with pytest.raises(InputError):
             WireLengthPolicy(odd_atoms=2)
+        # True had passed as a one-atom odd wire and reached graph JSON as "length": true.
+        for bad in ({"odd_atoms": True}, {"even_atoms": 2.0}, {"odd_atoms": -1}, {"even_atoms": 0}):
+            with pytest.raises(InputError, match="_atoms must be an integer"):
+                WireLengthPolicy(**bad)
 
     def test_atom_budget_formula(self):
         rng = random.Random(11)
@@ -410,12 +414,12 @@ STRUCTURAL_CASES = {
     ),
     "wire-head": (EVEN_ROLES, EVEN_EDGES[1:], {"wires": [EVEN]}, "head"),
     "wire-tail": (EVEN_ROLES, EVEN_EDGES[:2], {"wires": [EVEN]}, "tail"),
-    "negative-copy": (PAIR + [DataCopy(-1, 1)], [], {}, "variable index -1"),
+    "negative-copy": (PAIR + [DataCopy(-1, 1)], [], {}, "variable index must be an integer >= 0, got -1"),
     "negative-offset": ([DataCopy(0, 1), Offset(-1, 1)], [(0, 1)], {}, "of its variable"),
-    "float-copy": ([DataCopy(0.5, 1)], [], {}, "variable index 0.5"),
-    "bool-copy": ([DataCopy(0, 1), DataCopy(True, 1)], [], {}, "variable index True"),
-    "bool-offset": ([DataCopy(0, 0), Offset(False, 0)], [(0, 1)], {}, "variable index False"),
-    "float-offset": ([DataCopy(0, 0), Offset(0.0, 0)], [(0, 1)], {}, "variable index 0.0"),
+    "float-copy": ([DataCopy(0.5, 1)], [], {}, "variable index must be an integer >= 0, got 0.5"),
+    "bool-copy": ([DataCopy(0, 1), DataCopy(True, 1)], [], {}, "variable index must be an integer >= 0, got True"),
+    "bool-offset": ([DataCopy(0, 0), Offset(False, 0)], [(0, 1)], {}, "variable index must be an integer, got False"),
+    "float-offset": ([DataCopy(0, 0), Offset(0.0, 0)], [(0, 1)], {}, "variable index must be an integer, got 0.0"),
 }
 
 
@@ -435,8 +439,8 @@ class TestStructuralChecks:
     "edge, message",
     [
         ((0,), "not a pair"),
-        ((0.0, 1), "non-integer"),
-        ((False, 1), "non-integer"),
+        ((0.0, 1), "endpoint must be an integer, got 0.0"),
+        ((False, 1), "endpoint must be an integer, got False"),
         ((0, 0), "self-loop"),
         ((0, 2), "missing atom"),
     ],

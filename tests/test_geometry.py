@@ -273,6 +273,9 @@ class TestValidation:
                 Layout(moved)
         with pytest.raises(InputError):
             layout_from_csv("id,x,y\n0,nan,0\n")
+        for bad in (True, "20.5", None):
+            with pytest.raises(InputError, match="x of atom 0 must be a finite real number"):
+                layout_from_dict({"positions": [{"id": 0, "x": bad, "y": 0.0}]})
         with pytest.raises(InputError):
             layout_from_dict({"positions": [{"id": 0, "x": 0.0, "y": math.inf}]})
 
@@ -280,10 +283,10 @@ class TestValidation:
         # G4's closest non-edge is 10.75 um, inside a 20 um radius, so any of
         # these passing the guard would have reported a false PASS.
         graph, layout = load_builtin_layout("G4")
-        for d_r in (math.nan, math.inf, 0.0, -7.7):
+        for d_r in (math.nan, math.inf, 0.0, -7.7, "7", True):
             with pytest.raises(InputError):
                 validate_unit_disk(graph, layout, d_r=d_r)
-        for margin in (math.nan, math.inf):
+        for margin in (math.nan, math.inf, -0.1, True, "0"):
             with pytest.raises(InputError):
                 validate_unit_disk(graph, layout, d_r=20.0, margin=margin)
         for field in ("c6", "omega", "delta"):

@@ -1,6 +1,7 @@
 """Tests for QUBO representation, evaluation, and the brute-force oracle."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -171,8 +172,10 @@ class TestConstruction:
             QuboInstance(n=2, linear={2: 1})
 
     def test_float_coefficient_rejected(self):
-        with pytest.raises(InputError):
-            QuboInstance(n=1, linear={0: 0.5})
+        # Decimal(3) had passed through int(); it is no numbers.Integral.
+        for bad in (0.5, 2.0, Fraction(2), Decimal(3), True, "1", None):
+            with pytest.raises(InputError, match=r"linear\[0\] must be an integer"):
+                QuboInstance(n=1, linear={0: bad})
 
     def test_int64_bound_is_hard_error(self):
         QuboInstance(n=1, linear={0: 2**63 - 1})

@@ -212,16 +212,16 @@ class TestBuildHamiltonian:
         with pytest.raises(InputError):
             HamiltonianSpec(n=2, couplings=((0, 1, -1.0),))
         for a, b in ((0.5, 1), (True, 0), (0, 1.0)):
-            with pytest.raises(InputError, match="not a valid pair"):
+            with pytest.raises(InputError, match="coupling atom must be an integer"):
                 HamiltonianSpec(n=2, couplings=((a, b, 1.0),))
         for n in (0, 2.5, True):
-            with pytest.raises(InputError, match="positive integer"):
+            with pytest.raises(InputError, match="atom count must be an integer >= 1"):
                 HamiltonianSpec(n=n)
         for couplings in (5, None, (7,), ((0, 1),), ((0, 1, 1.0, 2.0),)):
             with pytest.raises(InputError, match="triples"):
                 HamiltonianSpec(n=2, couplings=couplings)
         for bad in (True, np.bool_(True), "5", None):
-            with pytest.raises(InputError, match="must be a real number"):
+            with pytest.raises(InputError, match="strength must be a finite real number"):
                 HamiltonianSpec(n=2, couplings=((0, 1, bad),))
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
@@ -229,13 +229,18 @@ class TestBuildHamiltonian:
             with pytest.raises(InputError):
                 HamiltonianSpec(n=2, detuning_weights=(1.0, bad))
         for bad in (True, np.bool_(False), "2", None):
-            with pytest.raises(InputError, match="must be real numbers"):
+            with pytest.raises(InputError, match="detuning weight must be a finite real number"):
                 HamiltonianSpec(n=2, detuning_weights=(bad, 1.0))
         g, _ = load_builtin_layout("G1")
-        with pytest.raises(InputError, match="must be real numbers"):
+        with pytest.raises(InputError, match="detuning weight must be a finite real number"):
             build_hamiltonian(g, detuning_weights=(1.0, True))
         spec = HamiltonianSpec(n=3, detuning_weights=(np.float64(1.5), np.int64(2), 3))
         assert spec.detuning_weights == (1.5, 2.0, 3.0)
+        # float() had read True as strength 1.0 and "7" as 7.0.
+        g2, _ = load_builtin_layout("G2")
+        for u0 in (True, "7", math.nan):
+            with pytest.raises(InputError, match="coupling strength u0 must be a finite real number"):
+                build_hamiltonian(g2, u0=u0)
 
     def test_scalar_detuning_weights_rejected(self):
         with pytest.raises(InputError, match="must be a sequence"):
@@ -675,6 +680,14 @@ class TestDistributions:
                 measure_distribution(state)
         with pytest.raises(InputError, match="power of two"):
             measure_distribution(np.zeros(0))
+        for state in ("abc", [1.0, "x"], {1: 2}):
+            with pytest.raises(InputError, match="complex amplitudes"):
+                measure_distribution(state)
+        for labels in (5, (1,), "ab"):
+            with pytest.raises(InputError, match="atom_labels"):
+                measure_distribution(np.array([1.0, 0]), atom_labels=labels)
+        with pytest.raises(InputError, match="atom label count"):
+            measure_distribution(np.array([1.0, 0]), atom_labels=("a", "b"))
 
     def test_probability_sum_invariant(self):
         with pytest.raises(InputError):
@@ -688,6 +701,15 @@ class TestDistributions:
                 StateDistribution(bad)
         with pytest.raises(InputError, match="sum to nan"):
             StateDistribution({"0": math.nan, "1": 1.0})
+        with pytest.raises(InputError, match="must be finite"):
+            StateDistribution({"0": 10**400, "1": 1.0})
+        for bad in ([("0", 1.0)], {"0": 0.5, 1: 0.5}, {(0,): 1.0}, None):
+            with pytest.raises(InputError, match="map bitstrings"):
+                StateDistribution(bad)
+        for labels in (5, (1,), ["a", None], "a"):
+            with pytest.raises(InputError, match="atom_labels"):
+                StateDistribution({"0": 1.0}, atom_labels=labels)
+        assert StateDistribution({"0": 1.0}, atom_labels=["a"]).atom_labels == ("a",)
 
     def test_csv_format(self):
         dist = StateDistribution({"01": 0.75, "10": 0.25}, atom_labels=("a", "b"))
@@ -721,7 +743,7 @@ class TestDistributions:
         assert plain.modal() == "00"
         assert [bs for bs, _ in near.top(4)] == ["00", "01", "10", "11"]
 
-    @pytest.mark.parametrize("k", [-1, 2.5, True, None, "1", np.int64(1)])
+    @pytest.mark.parametrize("k", [-1, 2.5, True, None, "1", np.bool_(True)])
     def test_top_refuses_a_k_that_is_not_a_count(self, k):
         dist = StateDistribution({"01": 0.75, "10": 0.25})
         with pytest.raises(InputError, match="k must be"):

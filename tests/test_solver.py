@@ -534,8 +534,10 @@ class TestMwis:
     def test_bad_edge_rejected(self):
         # Endpoints must be ints in range: 0.5 and 1.0 are no vertex index,
         # and True is not vertex 1.
-        for edge in ((0, 2), (0.5, 1), (True, 0), (0, 1.0)):
-            with pytest.raises(InputError, match="not valid"):
+        with pytest.raises(InputError, match="not valid"):
+            mwis_expand([1, 1], [(0, 2)])
+        for edge in ((0.5, 1), (True, 0), (0, 1.0)):
+            with pytest.raises(InputError, match="endpoint must be an integer"):
                 mwis_expand([1, 1], [edge])
 
 
