@@ -139,9 +139,11 @@ def cmd_compile(qubo_path, output, wire_even_len, wire_odd_len, max_atoms, as_js
 @click.option("--enum-cap", envvar="RYDQUBO_ENUM_CAP", default=DEFAULT_ENUM_CAP, type=int,
               show_default=True, show_envvar=True,
               help="Atom cap of the exact ground-set search: the largest component once "
-                   "data copies are clamped, else the whole graph.")
+                   "copy classes are clamped, and the whole graph when listing ground "
+                   "configurations that split a variable.")
 @click.option("--brute-cap", envvar="RYDQUBO_BRUTE_CAP", default=DEFAULT_BRUTE_FORCE_CAP, type=int,
-              show_default=True, show_envvar=True, help="Oracle enumeration cap.")
+              show_default=True, show_envvar=True,
+              help="Cap on the variables the oracle enumerates and on the copy classes.")
 @click.option("--json", "as_json", is_flag=True, help="Print the report JSON to stdout.")
 def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, max_atoms, enum_cap, brute_cap, as_json) -> None:
     """Check ground-state equivalence between QUBO_JSON and a graph.

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, GraphError, InputError, RydquboError, require_int
@@ -72,6 +73,15 @@ class AFConstraintAtom:
 
 AtomRole = DataCopy | Offset | WireAtom | AFConstraintAtom
 
+# The two integer fields of each role kind, with their descriptions and lower
+# bounds.  An offset's variable needs no bound: it must match a copy's.
+_ROLE_FIELDS = {
+    DataCopy: (attrgetter("var", "copy_index"), ("data copy variable index", 0), ("copy index", None)),
+    Offset: (attrgetter("var", "offset_index"), ("offset variable index", None), ("offset index", None)),
+    WireAtom: (attrgetter("wire", "chain_position"), ("wire id", None), ("chain position", None)),
+    AFConstraintAtom: (attrgetter("wire", "chain_position"), ("wire id", None), ("chain position", None)),
+}
+
 
 @dataclass(frozen=True)
 class WireDescriptor:
@@ -94,6 +104,23 @@ def _default_label(role: AtomRole, indexed: bool = True) -> str:
     else:
         stem, index = f"W~{role.wire + 1}", role.chain_position
     return f"{stem}^({index})" if indexed else stem
+
+
+def _checked_role(role: AtomRole) -> AtomRole:
+    """``role`` with every integer field a Python int, or GraphError.
+
+    Bools are refused: an offset of variable False would match a copy of
+    variable 0.
+    """
+    spec = _ROLE_FIELDS.get(type(role))
+    if spec is None:
+        raise GraphError(f"unknown atom role {role!r}")
+    first, second = spec[0](role)
+    if type(first) is int and type(second) is int:
+        return role  # the bound on a copy's variable is checked with the copies
+    return type(role)(
+        *(require_int(v, what, least, GraphError) for v, (what, least) in zip((first, second), spec[1:]))
+    )
 
 
 def _bits(mask: int):
@@ -123,7 +150,7 @@ class AtomGraph:
         source: QuboInstance | None = None,
         labels: Sequence[str] | None = None,
     ):
-        roles = tuple(roles)
+        roles = tuple(_checked_role(role) for role in roles)
         n_atoms = len(roles)
         masks = [0] * n_atoms
         for edge in edges:
@@ -152,9 +179,6 @@ class AtomGraph:
         if len(set(self.labels)) != n_atoms:
             raise GraphError("atom labels must be unique")
 
-        # An offset must attach to a copy of its own variable, so checking
-        # the copies' variables covers offsets too, once an offset's index
-        # is itself an int: False == 0 would match a copy of variable 0.
         copies: dict[int, list[int]] = {}
         for atom, role in enumerate(roles):
             if isinstance(role, DataCopy):
@@ -212,7 +236,6 @@ class AtomGraph:
 
         for atom, role in enumerate(self.roles):
             if isinstance(role, Offset):
-                require_int(role.var, "offset variable index", error=GraphError)
                 degree = masks[atom].bit_count()
                 if degree != 1:
                     raise GraphError(
@@ -482,6 +505,7 @@ def compile_qubo(
     instance by instance rather than assuming it.
     """
     policy = policy or WireLengthPolicy()
+    max_atoms = require_int(max_atoms, "max_atoms", 0)
     # Every variable takes at least one atom; checking that first keeps the
     # per-variable budget count below from looping over a huge n.
     if q.n > max_atoms:

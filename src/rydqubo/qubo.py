@@ -216,7 +216,7 @@ def brute_force_minima(
     vectorised loop over chunks of assignment indices, exact at any
     coefficient size.
     """
-    if q.n > cap:
+    if q.n > require_int(cap, "cap", 0):
         raise CapExceeded(f"brute force requested for n={q.n} above cap {cap}")
     total = 1 << q.n
     # int64 sums are exact while abs_coefficient_sum() <= 2**62; past that an
@@ -246,21 +246,27 @@ def brute_force_minima(
 
 
 def qubo_to_dict(q: QuboInstance) -> dict:
-    """JSON-ready form. Variable indices are 1-based in this format."""
-    return {
+    """JSON-ready form. Variable indices are 1-based in this format.
+
+    A ``scale`` other than 1 is written as a fraction string, "12" or "3/2".
+    """
+    doc = {
         "n": q.n,
         "linear": {str(i + 1): c for i, c in sorted(q.linear.items())},
         "quadratic": [
             {"i": i + 1, "j": j + 1, "w": w} for (i, j), w in sorted(q.quadratic.items())
         ],
     }
+    if q.scale != 1:
+        doc["scale"] = str(q.scale)
+    return doc
 
 
 def qubo_from_dict(data: Mapping) -> QuboInstance:
     """Parse the JSON interchange form; enforces 1-based indices and i < j."""
     if not isinstance(data, Mapping):
         raise InputError(f"QUBO document must be an object, got {type(data).__name__}")
-    unknown = set(data) - {"n", "linear", "quadratic"}
+    unknown = set(data) - {"n", "linear", "quadratic", "scale"}
     if unknown:
         raise InputError(f"unknown QUBO fields: {sorted(unknown)}")
     if "n" not in data:
@@ -297,4 +303,11 @@ def qubo_from_dict(data: Mapping) -> QuboInstance:
             raise InputError(f"duplicate quadratic entry for ({i}, {j})")
         quadratic[(i - 1, j - 1)] = entry["w"]
 
-    return QuboInstance(n=n, linear=linear, quadratic=quadratic)
+    raw_scale = data.get("scale", "1")
+    try:
+        scale = Fraction(raw_scale) if isinstance(raw_scale, str) else None
+    except (ValueError, ZeroDivisionError):
+        scale = None
+    if scale is None:
+        raise InputError(f"'scale' must be a fraction string such as \"12\" or \"3/2\", got {raw_scale!r}")
+    return QuboInstance(n=n, linear=linear, quadratic=quadratic, scale=scale)

@@ -179,7 +179,7 @@ class HamiltonianSpec:
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
+    if n > require_int(cap, "cap", 0):
         raise CapExceeded(f"simulation capped at {cap} atoms, got {n}")
 
 
@@ -203,6 +203,7 @@ def build_hamiltonian(
     """
     params = params or PhysicalParams()
     n = graph.atom_count
+    cap = require_int(cap, "cap", 0)
     if mode is HamiltonianMode.IDEAL_BLOCKADE:
         strength = 10.0 * params.delta if u0 is None else require_real(u0, "coupling strength u0")
         couplings = [(a, b, strength) for a, b in sorted(graph.edges)]

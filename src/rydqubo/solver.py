@@ -10,15 +10,12 @@ the energy.
 
 Every search reads the graph's adjacency bitmasks, ``AtomGraph.masks``, and
 one branch and bound, ``_mis_size``, computes every MIS size.
-``enumerate_ground_configs`` lists every ground configuration, derived from
-that size search: a branch is followed only while it can still reach the
-MIS size.  ``certify_equivalence`` lists them only when it must.  When every
-variable's data copies share one neighbourhood (every compiled graph), no
-maximum set splits a variable's copies, so it clamps the copies instead: the
+``enumerate_ground_configs`` lists every ground configuration, following a
+branch only while it can still reach the MIS size.  ``certify_equivalence``
+clamps copy classes instead, a variable's copies with one neighbourhood: the
 other atoms fall apart into components (wires, offset stars, ...) whose MIS
-sizes are tabulated once per assignment of the few variables each one
-touches, and alpha(G | x) is a sum of table entries for each of the 2^n
-assignments x.
+sizes are tabulated once per state of the few classes each one touches, and
+alpha(G | y) is a sum of table entries for each of the 2^m class states y.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode
+from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode  # noqa: F401 (re-export)
 from .errors import CapExceeded, InputError, require_int
 from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
 from .qubo import _assignment_from_index
@@ -107,7 +104,7 @@ def enumerate_ground_configs(
     that still reach it.  Results are canonically sorted and deterministic.
     """
     n = graph.atom_count
-    if n > cap:
+    if n > require_int(cap, "cap", 0):
         raise CapExceeded(f"exact search capped at {cap} atoms, got {n}")
     masks, every = graph.masks, (1 << n) - 1
     size = _mis_size(masks, every)
@@ -120,37 +117,35 @@ def enumerate_ground_configs(
 # ----------------------------------------------------------------------
 
 
-def _twin_copies(graph: AtomGraph) -> bool:
-    """True when all data copies of each variable have one neighbourhood.
+def _copy_classes(graph: AtomGraph) -> list[tuple[int, int, int]]:
+    """Each variable's data copies grouped by neighbourhood: (variable, atoms, neighbours).
 
-    A maximum independent set then never splits a variable's copies: copies
-    are mutually non-adjacent, so the missing ones could join the set.
+    Both sets are bitmasks, in order of variable and then of first copy.
+    Copies of one variable are never adjacent, so a maximum set holding one
+    copy of a class could take the rest: no maximum set splits a class.
     """
-    return all(len({graph.masks[a] for a in ids}) == 1 for ids in graph.var_copies.values())
+    groups: dict[tuple[int, int], int] = {}
+    for v, ids in graph.var_copies.items():
+        for atom in ids:
+            key = (v, graph.masks[atom])
+            groups[key] = groups.get(key, 0) | 1 << atom
+    return [(v, atoms, reach) for (v, reach), atoms in groups.items()]
 
 
 def _component_tables(
-    graph: AtomGraph, cap: int
+    graph: AtomGraph, classes: list[tuple[int, int, int]], cap: int
 ) -> tuple[dict[tuple[int, ...], list[int]], int, int]:
-    """MIS-size tables of the atoms left over once the data copies are clamped.
+    """MIS-size tables of the atoms left over once the copy classes are clamped.
 
-    Needs twin copies (``_twin_copies``).  The atoms that are not data copies
-    split into connected components.  A component's MIS size depends only on
-    the variables whose copies it touches, so its table holds that size for
-    each assignment of them; entry s sets the k-th touched variable when bit
-    k of s is set.  Tables of components touching the same variables are
-    summed, and each variable's own copies enter as the table ``[0, copies]``.
-
-    Returns the tables keyed by the touched variables, the component count
+    The atoms that are not data copies split into connected components.  A
+    component's MIS size depends only on the classes it touches, so its table
+    holds it for each state of them (entry s sets the k-th touched class when
+    bit k of s is set).  Tables keyed by the same classes are summed, and each
+    class's copies enter as ``[0, copies]``.  Also returns the component count
     and the largest component's atom count, which must not exceed ``cap``.
     """
     masks = graph.masks
-    copies = [graph.var_copies[v] for v in range(graph.n_vars)]
-    reach = [masks[ids[0]] for ids in copies]
-    rest = (1 << graph.atom_count) - 1
-    for ids in copies:
-        for atom in ids:
-            rest ^= 1 << atom
+    rest = (1 << graph.atom_count) - 1 - sum(atoms for _, atoms, _ in classes)  # all but copies
     components = []
     while rest:
         component, frontier = 0, rest & -rest
@@ -166,12 +161,13 @@ def _component_tables(
     if largest > cap:
         raise CapExceeded(f"exact search capped at {cap} atoms per component, got {largest}")
 
-    tables = {(v,): [0, len(ids)] for v, ids in enumerate(copies)}
+    tables = {(c,): [0, atoms.bit_count()] for c, (_, atoms, _) in enumerate(classes)}
+    reach = [r for _, _, r in classes]
     for component in components:
-        touched = tuple(v for v, r in enumerate(reach) if r & component)
-        blocked = [0]  # entry s: the atoms next to the copies state s sets
-        for v in touched:
-            blocked += [b | reach[v] for b in blocked]
+        touched = tuple(c for c, r in enumerate(reach) if r & component)
+        blocked = [0]  # entry s: the atoms next to the classes state s sets
+        for c in touched:
+            blocked += [b | reach[c] for b in blocked]
         total = tables.setdefault(touched, [0] * len(blocked))
         for state, b in enumerate(blocked):
             total[state] += _mis_size(masks, component & ~b)
@@ -191,39 +187,57 @@ def _subset_sums(values: list[int], bits: int, sign: int = 1) -> None:
                 values[s] += sign * values[s ^ bit]
 
 
-def _clamped_ground_set(graph: AtomGraph, cap: int) -> tuple[int, set[Assignment], int, int]:
-    """alpha(G) and every assignment x with alpha(G | x) = alpha(G).
+def _clamped_ground_set(
+    graph: AtomGraph, classes: list[tuple[int, int, int]], cap: int
+) -> tuple[int, set[Assignment], list[Config], int, int]:
+    """-alpha(G), the decoded set, the sorted split configurations and the component counts.
 
-    alpha(G | x), the largest independent set holding exactly the copies of
-    the variables x sets, is the sum of one entry of each component table.
-    Each table is split into one term per subset of its variables, and those
-    terms are summed over the subsets of every x at once.  An x that sets
-    two variables with adjacent copies has no such set: a pair term of
-    -(atoms + 1) sinks it below every x that has one.
-    Returns -alpha(G), the argmax, the component count and the largest
-    component's atom count.
+    alpha(G | y), the largest independent set holding exactly the copies of
+    the classes y sets, sums one entry of each component table: each table is
+    split into one term per subset of its classes, and the terms are summed
+    over the subsets of every y at once.  A y setting two adjacent classes
+    has no such set, and a pair term of -(atoms + 1) sinks it below y = 0.
+    An optimal y whose classes agree for each variable decodes to an
+    assignment; the maximum sets of any other are listed, within ``cap`` atoms.
     """
-    tables, components, largest = _component_tables(graph, cap)
-    n = graph.n_vars
-    # Twin copies: one copy of each variable stands for all of them.
-    first = [graph.var_copies[v][0] for v in range(n)]
-    for v in range(n):
-        for w in range(v):
-            if graph.masks[first[v]] >> first[w] & 1:
-                tables.setdefault((w, v), [0, 0, 0, 0])[3] -= graph.atom_count + 1
-    alphas = [0] * (1 << n)
+    tables, components, largest = _component_tables(graph, classes, cap)
+    for c, (_, _, reach) in enumerate(classes):
+        for d in range(c):
+            if reach & classes[d][1]:
+                tables.setdefault((d, c), [0, 0, 0, 0])[3] -= graph.atom_count + 1
+    alphas = [0] * (1 << len(classes))
     for touched, table in tables.items():
         terms = list(table)
         _subset_sums(terms, len(touched), sign=-1)
-        subsets = [0]  # entry s: the variables state s sets, as a mask
-        for v in touched:
-            subsets += [x | 1 << v for x in subsets]
-        for x, term in zip(subsets, terms):
-            alphas[x] += term
-    _subset_sums(alphas, n)
+        subsets = [0]  # entry s: the classes state s sets, as a mask
+        for c in touched:
+            subsets += [y | 1 << c for y in subsets]
+        for y, term in zip(subsets, terms):
+            alphas[y] += term
+    _subset_sums(alphas, len(classes))
     best = max(alphas)
-    decoded = {_assignment_from_index(x, n) for x, a in enumerate(alphas) if a == best}
-    return -best, decoded, components, largest
+
+    spans = [0] * graph.n_vars  # each variable's classes, as a mask over y
+    for c, (v, _, _) in enumerate(classes):
+        spans[v] |= 1 << c
+    decoded, split = set(), []
+    for y, alpha in enumerate(alphas):
+        if alpha == best:
+            held = [y & span for span in spans]
+            if all(h == 0 or h == span for h, span in zip(held, spans)):
+                decoded.add(tuple(int(h != 0) for h in held))
+            else:
+                split.append(y)
+    n, configs = graph.atom_count, []
+    if split and n > cap:
+        raise CapExceeded(f"exact search capped at {cap} atoms, got {n}")
+    for y in split:
+        # The copies y sets are left with no neighbour, so every maximum set holds them.
+        avail = (1 << n) - 1
+        for c, (_, atoms, reach) in enumerate(classes):
+            avail &= ~(reach if y >> c & 1 else atoms)
+        configs += [_assignment_from_index(s, n) for s in _maximum_sets(graph.masks, avail, best)]
+    return -best, decoded, sorted(configs), components, largest
 
 
 # ----------------------------------------------------------------------
@@ -316,52 +330,36 @@ def certify_equivalence(
 ) -> CertificateReport:
     """Check that the graph's decoded ground set equals ``brute_force_minima(q)``.
 
-    The graph alone chooses how the ground set is found:
-
-    * twin data copies (every compiled graph): no ground configuration
-      splits a variable's copies, so ``inconsistent_configs`` is empty, and
-      the decoded set is the argmax of alpha(G | x) over the 2^n
-      assignments, tallied from per-component tables.  ``enum_cap`` bounds
-      the atoms of the largest component;
-    * copies with different neighbourhoods: every ground configuration is
-      listed and decoded, and ``enum_cap`` bounds the whole graph's atoms.
-      A decode inconsistency counts as a certification failure rather than
-      an exception.
-
-    ``brute_cap`` is checked before any search.  Each call logs one DEBUG
-    record on the ``rydqubo`` logger: the path taken, the component count,
-    the largest component's atoms, the assignments tallied (on the listing
-    path: the ground configurations decoded, from one whole-graph component)
-    and the oracle's assignments.
+    The decoded set is the argmax of alpha(G | y) over the 2^m states of the
+    m copy classes (one per variable in every compiled graph), tallied from
+    per-component tables whose atoms ``enum_cap`` bounds.  Ground
+    configurations that split a variable's copies fail the certification and
+    are listed in ``inconsistent_configs``, within ``enum_cap`` atoms of the
+    whole graph.  ``brute_cap`` bounds the variables and the classes before
+    any search.  Each call logs one DEBUG record on the ``rydqubo`` logger:
+    the component count, the largest component's atoms, the class states
+    tallied and the oracle's assignments.
     """
+    enum_cap = require_int(enum_cap, "enum_cap", 0)
+    brute_cap = require_int(brute_cap, "brute_cap", 0)
     if graph.n_vars != q.n:
-        raise InputError(
-            f"graph encodes {graph.n_vars} variables but the instance has {q.n}"
-        )
+        raise InputError(f"graph encodes {graph.n_vars} variables but the instance has {q.n}")
     if q.n > brute_cap:
         raise CapExceeded(f"brute force requested for n={q.n} above cap {brute_cap}")
-    inconsistent: list[Config] = []
-    if _twin_copies(graph):
-        path, assignments = "clamp", 1 << q.n
-        energy, decoded, components, largest = _clamped_ground_set(graph, enum_cap)
-    else:
-        energy, configs = enumerate_ground_configs(graph, cap=enum_cap)
-        path, assignments, components, largest = "listing", len(configs), 1, graph.atom_count
-        decoded = set()
-        for config in configs:
-            assignment = try_decode(graph, config)
-            if assignment is None:
-                inconsistent.append(config)
-            else:
-                decoded.add(assignment)
+    classes = _copy_classes(graph)
+    if len(classes) > brute_cap:
+        raise CapExceeded(f"clamped search capped at {brute_cap} copy classes, got {len(classes)}")
+    energy, decoded, inconsistent, components, largest = _clamped_ground_set(
+        graph, classes, enum_cap
+    )
     min_value, argmin = brute_force_minima(q, cap=brute_cap)
     # Until something loads logging no handler exists to take the record, so
     # the package never loads it itself.
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("rydqubo").debug(
-            "certify: path=%s components=%d largest=%d assignments=%d oracle=%d",
-            path, components, largest, assignments, 1 << q.n,
+            "certify: components=%d largest=%d assignments=%d oracle=%d",
+            components, largest, 1 << len(classes), 1 << q.n,
         )
     expected = set(argmin)
     spurious = tuple(sorted(decoded - expected))

@@ -1,7 +1,9 @@
 """Tests for gadget construction, graph assembly, decoding, and graph JSON."""
 
+import json
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -27,7 +29,7 @@ from rydqubo.compiler import (
 )
 from rydqubo.errors import CapExceeded, GraphError, InputError
 from rydqubo.geometry import load_builtin_layout
-from rydqubo.qubo import QuboInstance, brute_force_minima
+from rydqubo.qubo import QuboInstance, brute_force_minima, normalize_to_integers
 
 F1 = QuboInstance(n=1, linear={0: -2})
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
@@ -490,6 +492,14 @@ class TestGraphJson:
         back = graph_from_dict(doc)
         assert back == g
         assert back.source == F7
+
+    def test_round_trip_keeps_the_source_scale(self):
+        q = normalize_to_integers({0: Fraction(-1, 2), 1: Fraction(1, 3)}, {(0, 1): Fraction(1, 4)})
+        assert q.scale == 12
+        doc = json.loads(json.dumps(graph_to_dict(compile_qubo(q))))
+        assert doc["source"]["scale"] == "12"
+        back = graph_from_dict(doc)
+        assert back == compile_qubo(q) and back.source.scale == 12
 
     def test_round_trip_without_source(self):
         g = AtomGraph([DataCopy(0, 1), DataCopy(0, 2)], edges=[])

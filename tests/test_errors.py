@@ -1,5 +1,6 @@
 """Tests for the integer and finite-real rules that every input check uses."""
 
+import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -8,19 +9,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rydqubo.compiler import AtomGraph, DataCopy, WireLengthPolicy, compile_qubo
+from rydqubo.compiler import (
+    AFConstraintAtom,
+    AtomGraph,
+    DataCopy,
+    Offset,
+    WireAtom,
+    WireLengthPolicy,
+    compile_qubo,
+    graph_to_dict,
+)
 from rydqubo.errors import GraphError, InputError, require_finite, require_int, require_real
 from rydqubo.geometry import Layout, PhysicalParams
-from rydqubo.qubo import QuboInstance
+from rydqubo.qubo import QuboInstance, brute_force_minima
 from rydqubo.sim import (
     ConstantSchedule,
     HamiltonianSpec,
     PulseSchedule,
     StateDistribution,
+    build_hamiltonian,
     evolve,
     sample_distribution,
 )
-from rydqubo.solver import mwis_expand
+from rydqubo.solver import certify_equivalence, enumerate_ground_configs, mwis_expand
 
 # Neither rule takes these: bools of either kind, non-numbers, Decimal and complex.
 REFUSED_BY_BOTH = [True, False, np.bool_(True), None, "1", Decimal(3), 1j, math.nan, math.inf, -math.inf]
@@ -165,3 +176,63 @@ class TestNumpyIntegersActAsPythonInts:
         sampled = sample_distribution(dist, shots=np.int64(500), seed=np.uint8(3))
         assert sampled == sample_distribution(dist, shots=500, seed=3)
         assert type(sampled.shots) is int
+
+
+F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
+F3_GRAPH = compile_qubo(F3)
+
+# Every cap argument, called with a cap it stays under at 30.
+CAP_CALLS = {
+    "compile_qubo-max_atoms": (lambda cap: compile_qubo(F3, max_atoms=cap), "max_atoms"),
+    "certify-enum_cap": (lambda cap: certify_equivalence(F3, F3_GRAPH, enum_cap=cap), "enum_cap"),
+    "certify-brute_cap": (lambda cap: certify_equivalence(F3, F3_GRAPH, brute_cap=cap), "brute_cap"),
+    "brute_force_minima-cap": (lambda cap: brute_force_minima(F3, cap=cap), "cap"),
+    "enumerate_ground_configs-cap": (lambda cap: enumerate_ground_configs(F3_GRAPH, cap=cap), "cap"),
+    "build_hamiltonian-cap": (lambda cap: build_hamiltonian(F3_GRAPH, cap=cap), "cap"),
+    "evolve-cap": (lambda cap: evolve(HamiltonianSpec(n=2), steps=1, cap=cap), "cap"),
+}
+
+
+@pytest.mark.parametrize("bad", ["5", True, np.bool_(True), None, 1.5, -1], ids=repr)
+@pytest.mark.parametrize("call", CAP_CALLS)
+def test_caps_take_the_integer_rule(call, bad):
+    run, name = CAP_CALLS[call]
+    with pytest.raises(InputError, match=f"^{name} must be an integer >= 0, got "):
+        run(bad)
+
+
+@pytest.mark.parametrize("call", CAP_CALLS)
+def test_numpy_caps_act_as_python_ints(call):
+    run, _ = CAP_CALLS[call]
+    out = run(np.int64(30))
+    expected = run(30)
+    assert np.array_equal(out, expected) if isinstance(out, np.ndarray) else out == expected
+
+
+@pytest.mark.parametrize(
+    "role, message",
+    [
+        (DataCopy(np.int64(0), 1.5), "copy index must be an integer, got 1.5"),
+        (DataCopy(0, "a"), "copy index must be an integer, got 'a'"),
+        (DataCopy(-1, 1), "data copy variable index must be an integer >= 0, got -1"),
+        (Offset(0, None), "offset index must be an integer, got None"),
+        (WireAtom("0", 1), "wire id must be an integer, got '0'"),
+        (WireAtom(0, 1.0), "chain position must be an integer, got 1.0"),
+        (AFConstraintAtom(0, True), "chain position must be an integer, got True"),
+        ("x1", "unknown atom role 'x1'"),
+    ],
+    ids=repr,
+)
+def test_role_fields_take_the_integer_rule(role, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        AtomGraph([DataCopy(1, 1), role], [])
+
+
+def test_numpy_role_fields_act_as_python_ints():
+    roles = [DataCopy(np.int64(0), np.uint8(1)), Offset(np.int64(0), np.int32(1))]
+    roles += [WireAtom(np.int64(0), np.int64(1)), AFConstraintAtom(np.int8(1), np.int16(1))]
+    plain = [DataCopy(0, 1), Offset(0, 1), WireAtom(0, 1), AFConstraintAtom(1, 1)]
+    graph = AtomGraph(roles, [(0, 1)])
+    assert graph == AtomGraph(plain, [(0, 1)])
+    assert all(type(v) is int for role in graph.roles for v in vars(role).values())
+    assert json.loads(json.dumps(graph_to_dict(graph))) == graph_to_dict(AtomGraph(plain, [(0, 1)]))

@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-from unittest import mock
 
 import pytest
 
@@ -16,6 +15,7 @@ from rydqubo.compiler import compile_qubo, graph_to_dict  # noqa: E402
 from rydqubo.qubo import QuboInstance, qubo_from_dict  # noqa: E402
 from rydqubo import solver  # noqa: E402
 from rydqubo.solver import certify_equivalence  # noqa: E402
+from test_solver import listing_reference  # noqa: E402
 
 QUBO_DOC = {
     "n": 3,
@@ -152,8 +152,7 @@ def test_compiled_qubo_certifies(q):
     graph = compile_qubo(q)
     report = certify_equivalence(q, graph)
     assert report.passed, report.to_dict()
-    # The listing path reports the same wherever its own atom cap lets it run:
-    # above the cap, degenerate even wires can multiply its sets past 2**20.
+    # The listing reference reports the same wherever its atom cap lets it
+    # run: above the cap, degenerate even wires can multiply its sets past 2**20.
     if graph.atom_count <= solver.DEFAULT_ENUM_CAP:
-        with mock.patch.object(solver, "_twin_copies", return_value=False):
-            assert certify_equivalence(q, graph).to_dict() == report.to_dict()
+        assert listing_reference(q, graph, solver.DEFAULT_ENUM_CAP) == report.to_dict()

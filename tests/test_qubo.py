@@ -325,6 +325,19 @@ class TestJson:
         }
         assert qubo_from_dict(doc) == F7
 
+    def test_scale_is_written_only_when_not_one(self):
+        assert "scale" not in qubo_to_dict(F7)
+        for factor in (Fraction(12), Fraction(3, 2)):
+            q = QuboInstance(n=1, linear={0: 1}, scale=factor)
+            doc = qubo_to_dict(q)
+            assert doc["scale"] == str(factor)
+            assert qubo_from_dict(doc) == q
+
+    @pytest.mark.parametrize("scale", ["0", "-2", "1/0", "x", 12, None, True], ids=repr)
+    def test_malformed_scale_rejected(self, scale):
+        with pytest.raises(InputError, match="scale"):
+            qubo_from_dict({"n": 1, "scale": scale})
+
     def test_one_based_indices_enforced(self):
         with pytest.raises(InputError):
             qubo_from_dict({"n": 2, "linear": {"0": 1}, "quadratic": []})

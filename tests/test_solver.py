@@ -4,7 +4,6 @@ import logging
 import random
 from fractions import Fraction
 from itertools import product
-from unittest import mock
 
 import pytest
 
@@ -32,7 +31,16 @@ from rydqubo.solver import (
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
 F4 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): -1})
 
+# Only the first copy of x1 touches x2, so a maximum set may split x1.
+SPLIT_GRAPH = AtomGraph([DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1)], [(0, 2)])
+SPLIT_QUBO = QuboInstance(n=2, linear={0: -2, 1: -1}, quadratic={(0, 1): 3})
+
 REFERENCE_ENUM_CAP = 25
+
+# Of the 1,200 random hand-made graphs in ``test_random_graphs_with_split_copies``,
+# each with some variable in two or more copy classes, those with a ground
+# configuration that splits a variable.
+SPLIT_COUNT = 1019
 
 
 def enumerate_mis_reference(graph, cap=REFERENCE_ENUM_CAP):
@@ -323,30 +331,92 @@ class TestCertify:
         assert report.passed
         assert len(report.decoded) == 4
 
-    @pytest.mark.parametrize("twins", [True, False], ids=["clamp", "listing"])
-    def test_variable_cap_precedes_the_ground_set_search(self, monkeypatch, twins):
+    @pytest.mark.parametrize("case", ["compiled", "split", "classes"])
+    def test_caps_precede_the_ground_set_search(self, monkeypatch, case):
         def search(*args, **kwargs):
-            raise AssertionError("the ground-set search ran before the variable cap")
+            raise AssertionError("the ground-set search ran before the cap")
 
-        monkeypatch.setattr(solver, "enumerate_ground_configs", search)
+        monkeypatch.setattr(solver, "_maximum_sets", search)
         monkeypatch.setattr(solver, "_component_tables", search)
-        monkeypatch.setattr(solver, "_twin_copies", lambda graph: twins)
-        q = QuboInstance(n=3, linear={0: -1, 1: 1}, quadratic={(0, 1): 1, (1, 2): -1})
-        with pytest.raises(CapExceeded):
-            certify_equivalence(q, compile_qubo(q), brute_cap=2)
+        if case == "compiled":
+            # Three variables above a cap of two.
+            q = QuboInstance(n=3, linear={0: -1, 1: 1}, quadratic={(0, 1): 1, (1, 2): -1})
+            args, match = (q, compile_qubo(q), 30, 2), "n=3 above cap 2"
+        elif case == "split":
+            # Two variables within the cap, but three copy classes above it.
+            args, match = (SPLIT_QUBO, SPLIT_GRAPH, 30, 2), "capped at 2 copy classes, got 3"
+        else:
+            # One variable whose 25 copies each touch their own auxiliary
+            # atom: 25 copy classes, one above the default cap.
+            roles = [DataCopy(0, k) for k in range(1, 26)] + [WireAtom(w, 1) for w in range(25)]
+            graph = AtomGraph(roles, [(k, 25 + k) for k in range(25)])
+            args, match = (QuboInstance(n=1, linear={0: -1}), graph), "capped at 24 copy classes, got 25"
+        with pytest.raises(CapExceeded, match=match):
+            certify_equivalence(*args)
 
 
-def listed(q, graph, **kwargs):
-    """The report of the listing path, which every graph can take."""
-    with mock.patch.object(solver, "_twin_copies", return_value=False):
-        return certify_equivalence(q, graph, **kwargs).to_dict()
+def listing_reference(q, graph, enum_cap=64):
+    """The certificate read off a listing of every ground configuration.
+
+    The slow reference of the clamped search: each maximum set of the whole
+    graph is decoded on its own, and one whose copies disagree is reported.
+    """
+    energy, configs = enumerate_ground_configs(graph, cap=enum_cap)
+    decoded, inconsistent = set(), []
+    for config in configs:
+        assignment = try_decode(graph, config)
+        if assignment is None:
+            inconsistent.append(list(config))
+        else:
+            decoded.add(assignment)
+    min_value, argmin = brute_force_minima(q)
+    spurious, missing = sorted(decoded - set(argmin)), sorted(set(argmin) - decoded)
+    return {
+        "pass": not spurious and not missing and not inconsistent,
+        "ground_energy_delta_units": energy,
+        "qubo_min_value": min_value,
+        "decoded": [list(a) for a in sorted(decoded)],
+        "expected": [list(a) for a in argmin],
+        "spurious": [list(a) for a in spurious],
+        "missing": [list(a) for a in missing],
+        "inconsistent_configs": inconsistent,
+    }
 
 
-def assert_clamp_matches_listing(q, graph, enum_cap=64):
-    assert solver._twin_copies(graph)
-    clamped = certify_equivalence(q, graph, enum_cap=enum_cap).to_dict()
-    assert clamped == listed(q, graph, enum_cap=enum_cap)
-    assert clamped["inconsistent_configs"] == []
+def assert_matches_listing(q, graph, enum_cap=64):
+    report = certify_equivalence(q, graph, enum_cap=enum_cap).to_dict()
+    assert report == listing_reference(q, graph, enum_cap)
+    return report
+
+
+def assert_twins_match_listing(q, graph):
+    """One copy class per variable (every compiled graph): no ground configuration splits one."""
+    assert len(solver._copy_classes(graph)) == graph.n_vars
+    assert assert_matches_listing(q, graph)["inconsistent_configs"] == []
+
+
+def random_split_graph(rng):
+    """A hand-made graph of 1-3 variables with 1-3 copies each and 0-5 auxiliary atoms.
+
+    Each allowed edge is drawn with probability 0.3; copies of one variable
+    are never adjacent.  Also returns a random [-2, 2] instance.
+    """
+    n = rng.randint(1, 3)
+    roles = [DataCopy(v, k) for v in range(n) for k in range(1, rng.randint(1, 3) + 1)]
+    copies = len(roles)
+    roles += [WireAtom(w, 1) for w in range(rng.randint(0, 5))]
+    edges = [
+        (a, b)
+        for a in range(len(roles))
+        for b in range(a + 1, len(roles))
+        if not (b < copies and roles[a].var == roles[b].var) and rng.random() < 0.3
+    ]
+    q = QuboInstance(
+        n=n,
+        linear={i: rng.randint(-2, 2) for i in range(n)},
+        quadratic={(i, j): rng.randint(-2, 2) for i in range(n) for j in range(i + 1, n)},
+    )
+    return q, AtomGraph(roles, edges)
 
 
 def criterion_1_instances():
@@ -374,19 +444,30 @@ def mis_qubo(weights, edges):
 
 
 class TestClampedCertify:
-    """The clamp path against the listing path it replaces on twin-copy graphs."""
+    """The clamped search over copy classes against the listing reference."""
 
     def test_criterion_1_instances(self):
         for q in criterion_1_instances():
-            assert_clamp_matches_listing(q, compile_qubo(q))
+            assert_twins_match_listing(q, compile_qubo(q))
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_bundled_graphs(self, name):
         graph, _ = load_builtin_layout(name)
-        if name == "G6P":
-            assert not solver._twin_copies(graph)
-        else:
-            assert_clamp_matches_listing(graph.source, graph)
+        # G6P's two copies of x1 differ in their neighbours: two classes.
+        classes = [v for v, _, _ in solver._copy_classes(graph)]
+        assert classes == ([0, 0, 1] if name == "G6P" else list(range(graph.n_vars)))
+        assert_matches_listing(graph.source, graph)
+
+    def test_random_graphs_with_split_copies(self):
+        rng = random.Random(31)
+        graphs = splits = 0
+        while graphs < 1200:
+            q, graph = random_split_graph(rng)
+            if len(solver._copy_classes(graph)) == graph.n_vars:
+                continue  # every copy class is a whole variable
+            graphs += 1
+            splits += bool(assert_matches_listing(q, graph)["inconsistent_configs"])
+        assert splits == SPLIT_COUNT
 
     def test_mwis_expansions(self):
         rng = random.Random(8)
@@ -397,7 +478,7 @@ class TestClampedCertify:
             cases.append(([rng.randint(1, 3) for _ in range(n)], edges))
         for weights, edges in cases:
             q, graph = mis_qubo(weights, edges), mwis_expand(weights, edges)
-            assert_clamp_matches_listing(q, graph)
+            assert_twins_match_listing(q, graph)
             assert certify_equivalence(q, graph).passed
 
     @pytest.mark.parametrize("even, odd", [(4, 1), (2, 3), (6, 5)])
@@ -411,7 +492,7 @@ class TestClampedCertify:
                 linear={i: rng.randint(-2, 2) for i in range(n)},
                 quadratic={(i, j): rng.randint(-2, 2) for i in range(n) for j in range(i + 1, n)},
             )
-            assert_clamp_matches_listing(q, compile_qubo(q, policy))
+            assert_twins_match_listing(q, compile_qubo(q, policy))
 
     def test_hand_made_graph_with_adjacent_copies(self):
         # x1 (two copies) and x2 are adjacent; one hub atom touches all three
@@ -423,7 +504,7 @@ class TestClampedCertify:
         edges = [(0, 2), (1, 2), (4, 0), (4, 1), (4, 2), (4, 3)]
         edges += [(5, 6), (6, 7), (7, 8), (8, 9), (9, 5), (3, 5)]
         graph = AtomGraph(roles, edges)
-        tables, components, largest = solver._component_tables(graph, cap=64)
+        tables, components, largest = solver._component_tables(graph, solver._copy_classes(graph), cap=64)
         assert (components, largest) == (2, 5)
         assert tables[(0, 1, 2)] == [1] + [0] * 7
         # Three single-copy variables, each pair adjacent.
@@ -436,19 +517,30 @@ class TestClampedCertify:
             ),
             (graph, triangle),
         ):
-            assert_clamp_matches_listing(q, g)
+            assert_twins_match_listing(q, g)
 
-    def test_non_twin_copies_take_the_listing_path(self, caplog):
-        # Only the first copy of x1 touches x2, so a maximum set may split x1.
-        graph = AtomGraph([DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1)], [(0, 2)])
-        q = QuboInstance(n=2, linear={0: -2, 1: -1}, quadratic={(0, 1): 3})
-        assert not solver._twin_copies(graph)
-        with caplog.at_level(logging.DEBUG, logger="rydqubo"):
-            report = certify_equivalence(q, graph)
-        assert "path=listing" in caplog.records[-1].getMessage()
-        assert report.to_dict() == listed(q, graph)
-        assert report.inconsistent_configs == ((0, 1, 1),)
-        assert not report.passed
+    def test_split_ground_configurations_are_listed(self):
+        # x1's copies form two classes; the maximum set {x1^(2), x2} splits x1.
+        assert solver._copy_classes(SPLIT_GRAPH) == [(0, 0b001, 0b100), (0, 0b010, 0), (1, 0b100, 0b001)]
+        report = assert_matches_listing(SPLIT_QUBO, SPLIT_GRAPH)
+        assert report["inconsistent_configs"] == [[0, 1, 1]]
+        assert not report["pass"]
+        # The witnesses are listed under the whole-graph atom cap.
+        with pytest.raises(CapExceeded, match="capped at 2 atoms, got 3"):
+            certify_equivalence(SPLIT_QUBO, SPLIT_GRAPH, enum_cap=2)
+
+    def test_unsplit_graph_above_the_listing_cap_certifies(self):
+        # x1's copies form two classes, but no maximum set splits them, so
+        # nothing is listed and the whole-graph cap does not apply.
+        # The one wire atom blocks both x1^(1) and x2, so leaving it out wins.
+        q = QuboInstance(n=2, linear={0: -2, 1: -1})
+        graph = AtomGraph(
+            [DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1), WireAtom(0, 1)], [(0, 3), (2, 3)]
+        )
+        assert len(solver._copy_classes(graph)) == 3
+        report = certify_equivalence(q, graph, enum_cap=2)
+        assert report.passed and report.decoded == ((1, 1),)
+        assert report.to_dict() == listing_reference(q, graph)
 
     @pytest.mark.parametrize(
         "parity, m", [(Parity.EVEN, m) for m in (1, 2, 3)] + [(Parity.ODD, m) for m in (0, 1, 2, 3)]
@@ -458,7 +550,8 @@ class TestClampedCertify:
             q, policy = QuboInstance(n=2, quadratic={(0, 1): 1}), WireLengthPolicy(even_atoms=2 * m)
         else:
             q, policy = QuboInstance(n=2, quadratic={(0, 1): -1}), WireLengthPolicy(odd_atoms=2 * m + 1)
-        tables, _, largest = solver._component_tables(compile_qubo(q, policy), cap=64)
+        graph = compile_qubo(q, policy)
+        tables, _, largest = solver._component_tables(graph, solver._copy_classes(graph), cap=64)
         assert largest == (2 * m if parity is Parity.EVEN else 2 * m + 1)
         # Entry s sets x1 on bit 0 and x2 on bit 1.
         assert tables[(0, 1)] == [-wire_table(parity, m, (s & 1, s >> 1))[0] for s in range(4)]
@@ -468,7 +561,7 @@ class TestClampedCertify:
         # One data atom with target + 1 offsets: alpha is target + 1 with the
         # atom off and 1 (the atom itself) with it on.
         graph = compile_qubo(QuboInstance(n=1, linear={0: target}))
-        tables, components, largest = solver._component_tables(graph, cap=64)
+        tables, components, largest = solver._component_tables(graph, solver._copy_classes(graph), cap=64)
         assert tables == {(0,): [target + 1, 1]}
         assert (components, largest) == (target + 1, 1)
 
@@ -481,16 +574,14 @@ class TestClampedCertify:
             assert -size == enumerate_mis_reference(g)[0]
 
     def test_one_debug_record_per_certification(self, caplog):
-        # The second graph's copies of x1 are not twins, so it is listed: two
-        # maximum sets, one of which splits x1.
-        split = AtomGraph([DataCopy(0, 1), DataCopy(0, 2), DataCopy(1, 1)], [(0, 2)])
+        # The split graph has three copy classes and no atom outside them.
         with caplog.at_level(logging.DEBUG, logger="rydqubo"):
             certify_equivalence(F3, compile_qubo(F3))
-            certify_equivalence(F3, split)
+            certify_equivalence(F3, SPLIT_GRAPH)
         messages = [r.getMessage() for r in caplog.records if r.name == "rydqubo"]
         assert messages == [
-            "certify: path=clamp components=3 largest=2 assignments=4 oracle=4",
-            "certify: path=listing components=1 largest=3 assignments=2 oracle=4",
+            "certify: components=3 largest=2 assignments=4 oracle=4",
+            "certify: components=0 largest=0 assignments=8 oracle=4",
         ]
 
 
