@@ -30,14 +30,12 @@ from .compiler import (
     AtomGraph,
     AtomRole,
     DataCopy,
-    InconsistentCopies,
     Offset,
     Parity,
     WireAtom,
     WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
-    decode,
     effective_linear,
     graph_from_dict,
     graph_to_dict,
@@ -49,7 +47,6 @@ from .solver import (
     certify_equivalence,
     enumerate_ground_configs,
     mwis_expand,
-    wire_table,
 )
 from .geometry import (
     Layout,
@@ -66,14 +63,12 @@ from .geometry import (
     validate_unit_disk,
 )
 from .sim import (
-    ConstantSchedule,
     HamiltonianMode,
     HamiltonianSpec,
     PulseSchedule,
     StateDistribution,
     af_predicate,
     build_hamiltonian,
-    diagonal_energy,
     evolve,
     measure_distribution,
     postselect,

@@ -12,7 +12,7 @@ Four gadget kinds cover every integer cost function:
   negative coupling unit also lowers both endpoint targets by one.
 
 ``compile_qubo`` stitches these together into an ``AtomGraph``, whose one
-adjacency is a bitmask per atom; ``decode`` maps a measured atom
+adjacency is a bitmask per atom; ``try_decode`` maps a measured atom
 configuration back to variable values by data-copy unanimity.
 """
 
@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Sequence
 
-from .errors import CapExceeded, GraphError, InputError, RydquboError, require_int
+from .errors import CapExceeded, GraphError, InputError, require_int
 from .qubo import Assignment, QuboInstance, check_assignment, qubo_from_dict, qubo_to_dict
 
 DEFAULT_MAX_ATOMS = 5000
@@ -123,6 +123,26 @@ def _checked_role(role: AtomRole) -> AtomRole:
     )
 
 
+def _checked_wire(w: WireDescriptor) -> WireDescriptor:
+    """``w`` with every integer field a Python int and a tuple of endpoints, or GraphError."""
+    if type(w) is not WireDescriptor:
+        raise GraphError(f"unknown wire descriptor {w!r}")
+    if not isinstance(w.parity, Parity):
+        raise GraphError(f"wire {w.wire!r} parity must be a Parity, got {w.parity!r}")
+    try:
+        i, j = w.endpoints
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"wire {w.wire!r} endpoints {w.endpoints!r} are not a pair") from exc
+    if type(w.endpoints) is tuple and type(w.wire) is type(i) is type(j) is type(w.length) is int:
+        return w
+    return WireDescriptor(
+        require_int(w.wire, "wire descriptor id", None, GraphError),
+        tuple(require_int(v, "wire endpoint", None, GraphError) for v in (i, j)),
+        w.parity,
+        require_int(w.length, "wire length", None, GraphError),
+    )
+
+
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -168,7 +188,7 @@ class AtomGraph:
             masks[b] |= 1 << a
         self.roles: tuple[AtomRole, ...] = roles
         self.masks: tuple[int, ...] = tuple(masks)
-        self.wires: tuple[WireDescriptor, ...] = tuple(wires)
+        self.wires: tuple[WireDescriptor, ...] = tuple(_checked_wire(w) for w in wires)
         self.source = source
         if labels is None:
             self.labels: tuple[str, ...] = tuple(_default_label(r) for r in roles)
@@ -558,45 +578,18 @@ def compile_qubo(
 # ----------------------------------------------------------------------
 
 
-class InconsistentCopies(RydquboError):
-    """Data copies of one variable disagree: a non-ground-state measurement."""
-
-    def __init__(self, var: int, reason: str = "data copies disagree"):
-        super().__init__(f"variable {var + 1}: {reason}")
-        self.var = var
-
-
-def decode(
-    graph: AtomGraph, bits: Sequence[int] | str, check_offsets: bool = False
-) -> Assignment:
-    """Read variable values off a measured configuration.
+def try_decode(graph: AtomGraph, bits: Sequence[int] | str) -> Assignment | None:
+    """Read variable values off a measured configuration, or None.
 
     Each variable's data copies must print the same value; wire, offset and
-    constraint atoms carry no variable information.  With ``check_offsets``
-    the offsets must mirror their data atom, a stricter ground-state check.
-
-    Raises :class:`InconsistentCopies` when the configuration is not a
-    valid encoding.
+    constraint atoms carry no variable information.  Returns None when some
+    variable's copies disagree.
     """
     values = check_assignment(graph.atom_count, bits)
     out = []
     for v in range(graph.n_vars):
         seen = {values[a] for a in graph.var_copies[v]}
         if len(seen) != 1:
-            raise InconsistentCopies(v)
+            return None
         out.append(seen.pop())
-    if check_offsets:
-        for atom, role in enumerate(graph.roles):
-            if isinstance(role, Offset) and values[atom] != 1 - out[role.var]:
-                raise InconsistentCopies(role.var, "offset does not mirror its data atom")
     return tuple(out)
-
-
-def try_decode(
-    graph: AtomGraph, bits: Sequence[int] | str, check_offsets: bool = False
-) -> Assignment | None:
-    """``decode`` returning None instead of raising on inconsistent copies."""
-    try:
-        return decode(graph, bits, check_offsets=check_offsets)
-    except InconsistentCopies:
-        return None

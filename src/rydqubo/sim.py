@@ -55,7 +55,6 @@ from .compiler import AtomGraph
 from .errors import CapExceeded, EmptySelection, InputError, SimulationError
 from .errors import is_real_type, require_finite, require_int, require_real
 from .geometry import Layout, PhysicalParams, pair_interaction
-from .qubo import check_assignment
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
@@ -118,24 +117,6 @@ class PulseSchedule:
             omega = self.omega0 * (total - t) / (total - down)
             delta = self.delta_f
         return omega, delta
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    """Fixed drive and detuning for a given duration; handy for calibration."""
-
-    omega: float
-    delta: float
-    total_time: float
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if not self.total_time > 0:
-            raise InputError(f"total_time must be positive, got {self.total_time}")
-
-    def value(self, t: float) -> tuple[float, float]:
-        _clamp_time(t, self.total_time)
-        return self.omega, self.delta
 
 
 class HamiltonianMode(Enum):
@@ -257,15 +238,6 @@ def _interaction_energy(spec: HamiltonianSpec, classes: Sequence[Sequence[int]])
         if a in first and b in first:
             interaction += u * (counts[first[a]] * counts[first[b]])
     return interaction
-
-
-def diagonal_energy(spec: HamiltonianSpec, delta: float, bits: Sequence[int] | str) -> float:
-    """Drive-off energy of one basis configuration, in (2 pi) MHz."""
-    bits = check_assignment(spec.n, bits)
-    energy = -delta * sum(w * b for w, b in zip(spec.detuning_weights, bits))
-    for a, b, u in spec.couplings:
-        energy += u * bits[a] * bits[b]
-    return energy
 
 
 def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

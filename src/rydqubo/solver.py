@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .compiler import AtomGraph, DataCopy, Parity, _bits, try_decode  # noqa: F401 (re-export)
+from .compiler import AtomGraph, DataCopy, _bits, try_decode  # noqa: F401 (re-export)
 from .errors import CapExceeded, InputError, require_int
 from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
 from .qubo import _assignment_from_index
@@ -41,7 +41,7 @@ def _mis_size(masks: Sequence[int], avail: int, size: int = 0, best: int = 0) ->
 
     Sizes only, no sets.  A vertex with at most one neighbour left is taken
     without branching, since some maximum set contains it; paths and stars,
-    the closed forms of ``wire_table`` and the offset rule, need no branch.
+    the wire chains and offset gadgets, need no branch.
     """
     while avail:
         m = avail
@@ -241,54 +241,6 @@ def _clamped_ground_set(
 
 
 # ----------------------------------------------------------------------
-# Wire energy tables
-# ----------------------------------------------------------------------
-
-
-def wire_table(
-    parity: Parity, m: int, endpoint_state: tuple[int, int]
-) -> tuple[int, tuple[Config, ...]]:
-    """Conditional ground energy of one chain with clamped endpoints.
-
-    Returns the energy in delta units (minus the maximum number of excitable
-    chain atoms) and the chain configurations attaining it.  Even chains have
-    2m atoms and charge one unit exactly when both endpoints are 1; odd
-    chains have 2m+1 atoms and reward only the 00 endpoint state.
-    """
-    if parity is Parity.EVEN:
-        if m < 1:
-            raise InputError(f"even wire table needs m >= 1, got {m}")
-        length = 2 * m
-    elif parity is Parity.ODD:
-        if m < 0:
-            raise InputError(f"odd wire table needs m >= 0, got {m}")
-        length = 2 * m + 1
-    else:
-        raise InputError(f"unknown parity {parity!r}")
-    bi, bj = endpoint_state
-    if bi not in (0, 1) or bj not in (0, 1):
-        raise InputError(f"endpoint state must be bits, got {endpoint_state!r}")
-
-    best = -1
-    found: list[Config] = []
-    for mask in range(1 << length):
-        bits = _assignment_from_index(mask, length)
-        if bi and bits[0]:
-            continue
-        if bj and bits[-1]:
-            continue
-        if any(bits[p] and bits[p + 1] for p in range(length - 1)):
-            continue
-        size = sum(bits)
-        if size > best:
-            best = size
-            found = [bits]
-        elif size == best:
-            found.append(bits)
-    return -best, tuple(sorted(found))
-
-
-# ----------------------------------------------------------------------
 # Certification against the brute-force oracle
 # ----------------------------------------------------------------------
 
@@ -389,7 +341,7 @@ def mwis_expand(
 
     A vertex of weight w becomes w mutually non-adjacent copies inheriting
     all of the vertex's edges.  Copies share their neighbourhood exactly, so
-    every maximum independent set is copy-unanimous and ``decode`` recovers
+    every maximum independent set is copy-unanimous and ``try_decode`` recovers
     the maximum weighted independent sets of the input.
     """
     parsed = [require_int(w, "vertex weight", 1) for w in weights]

@@ -23,7 +23,6 @@ from rydqubo.geometry import (
 )
 from rydqubo.qubo import QuboInstance
 from rydqubo.sim import (
-    ConstantSchedule,
     HamiltonianSpec,
     PulseSchedule,
     af_predicate,
@@ -36,8 +35,9 @@ from rydqubo.solver import (
     certify_equivalence,
     enumerate_ground_configs,
     mwis_expand,
-    wire_table,
 )
+from test_sim import ConstantSchedule
+from test_solver import certified_chain
 
 REFERENCE_SCHEDULE = PulseSchedule(total_time=2.5, omega0=0.96, delta_i=-4.0, delta_f=5.0)
 
@@ -94,8 +94,13 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_wire_energy_tables():
-    """Conditional chain energies match the closed forms, degeneracies included."""
+    """Conditional chain energies match the closed forms, degeneracies included.
+
+    Each row is the certifier's: its table entry for a compiled chain and the
+    maximum sets of the chain atoms the clamped endpoints leave free.
+    """
     for m in range(1, 4):
+        certified = certified_chain(Parity.EVEN, m)
         rows = {
             (1, 1): 1 - m,
             (1, 0): -m,
@@ -103,15 +108,16 @@ def test_criterion_2_wire_energy_tables():
             (0, 0): -m,
         }
         for state, expected in rows.items():
-            energy, configs = wire_table(Parity.EVEN, m, state)
+            energy, configs = certified[state]
             assert energy == expected, (m, state, energy)
             assert configs
-        _, degenerate = wire_table(Parity.EVEN, m, (0, 0))
+        _, degenerate = certified[(0, 0)]
         assert len(degenerate) >= 2
         head = tuple(1 - (p % 2) for p in range(2 * m))
         tail = tuple((1, 0) * (m - 1) + (0, 1)) if m > 1 else (0, 1)
         assert head in degenerate and tail in degenerate
     for m in range(0, 4):
+        certified = certified_chain(Parity.ODD, m)
         rows = {
             (1, 1): -m,
             (1, 0): -m,
@@ -119,7 +125,7 @@ def test_criterion_2_wire_energy_tables():
             (0, 0): -(m + 1),
         }
         for state, expected in rows.items():
-            energy, _ = wire_table(Parity.ODD, m, state)
+            energy, _ = certified[state]
             assert energy == expected, (m, state, energy)
     report(2, "even chains (1-M, -M, -M, -M) and odd chains (-M x3, -(M+1)) for all tested M")
 

@@ -13,14 +13,12 @@ from rydqubo.compiler import (
     AFConstraintAtom,
     AtomGraph,
     DataCopy,
-    InconsistentCopies,
     Offset,
     Parity,
     WireAtom,
     WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
-    decode,
     effective_linear,
     graph_from_dict,
     graph_to_dict,
@@ -295,36 +293,34 @@ class TestDecode:
     def test_readout_with_positive_coupling_wire(self):
         g = compile_qubo(F3)
         # order: x1 copies, x2, offsets, wire atoms
-        assert decode(g, (1, 1, 0, 1, 1, 0, 1)) == (1, 0)
+        assert try_decode(g, (1, 1, 0, 1, 1, 0, 1)) == (1, 0)
 
     def test_readout_with_negative_coupling_wire(self):
         g = compile_qubo(F4)
-        assert decode(g, (1, 1, 1, 1, 0, 0)) == (1, 1)
-        assert decode(g, "111010") == (1, 0)
+        assert try_decode(g, (1, 1, 1, 1, 0, 0)) == (1, 1)
+        assert try_decode(g, "111010") == (1, 0)
 
     def test_all_zeros_is_unanimous(self):
         g = compile_qubo(F1)
-        assert decode(g, (0, 0)) == (0,)
+        assert try_decode(g, (0, 0)) == (0,)
 
-    def test_disagreeing_copies_raise(self):
-        g = compile_qubo(F1)
-        with pytest.raises(InconsistentCopies) as err:
-            decode(g, (1, 0))
-        assert err.value.var == 0
-        assert try_decode(g, (1, 0)) is None
+    def test_disagreeing_copies_return_none(self):
+        assert try_decode(compile_qubo(F1), (1, 0)) is None
+        # x1's copies disagree while x2 reads 0; the wire atoms do not matter.
+        g = compile_qubo(F3)
+        assert try_decode(g, (0, 1, 0, 1, 1, 0, 1)) is None
+        assert try_decode(g, (1, 1, 0, 1, 1, 0, 1)) == (1, 0)
 
-    def test_offset_check_optional(self):
+    def test_offsets_are_not_read(self):
+        # An excited offset beside an excited data atom is no ground
+        # configuration, but only the data copies carry the variable.
         g = compile_qubo(QuboInstance(n=1, linear={0: 1}))
-        # data=1 with an excited offset is not a valid encoding
-        bits = (1, 1, 1)
-        assert decode(g, bits) == (1,)
-        with pytest.raises(InconsistentCopies):
-            decode(g, bits, check_offsets=True)
+        assert try_decode(g, (1, 1, 1)) == (1,)
 
     def test_wrong_length_rejected(self):
         g = compile_qubo(F1)
         with pytest.raises(InputError):
-            decode(g, (1,))
+            try_decode(g, (1,))
 
     def test_non_integral_bits_rejected(self):
         g, _ = load_builtin_layout("G3")
@@ -517,16 +513,20 @@ class TestGraphJson:
 class TestGroundDecodeUnanimity:
     def test_every_ground_config_decodes(self):
         # Every maximum independent set of a compiled graph must be
-        # copy-unanimous; exercised across random instances.
+        # copy-unanimous, with each offset opposite its data atom; exercised
+        # across random instances.
         from rydqubo.solver import enumerate_ground_configs
 
         rng = random.Random(23)
         for _ in range(25):
             q = random_instance(rng, n_range=(1, 3))
             g = compile_qubo(q)
+            offsets = [(atom, role.var) for atom, role in enumerate(g.roles) if isinstance(role, Offset)]
             _, configs = enumerate_ground_configs(g, cap=40)
             for config in configs:
-                assert try_decode(g, config, check_offsets=True) is not None
+                assignment = try_decode(g, config)
+                assert assignment is not None
+                assert all(config[atom] == 1 - assignment[var] for atom, var in offsets), config
 
     def test_long_wire_policy_still_certifies(self):
         # Chain lengths change constants only, never the decoded ground set.

@@ -14,7 +14,9 @@ from rydqubo.compiler import (
     AtomGraph,
     DataCopy,
     Offset,
+    Parity,
     WireAtom,
+    WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
     graph_to_dict,
@@ -23,7 +25,6 @@ from rydqubo.errors import GraphError, InputError, require_finite, require_int, 
 from rydqubo.geometry import Layout, PhysicalParams
 from rydqubo.qubo import QuboInstance, brute_force_minima
 from rydqubo.sim import (
-    ConstantSchedule,
     HamiltonianSpec,
     PulseSchedule,
     StateDistribution,
@@ -32,6 +33,7 @@ from rydqubo.sim import (
     sample_distribution,
 )
 from rydqubo.solver import certify_equivalence, enumerate_ground_configs, mwis_expand
+from test_sim import ConstantSchedule
 
 # Neither rule takes these: bools of either kind, non-numbers, Decimal and complex.
 REFUSED_BY_BOTH = [True, False, np.bool_(True), None, "1", Decimal(3), 1j, math.nan, math.inf, -math.inf]
@@ -236,3 +238,41 @@ def test_numpy_role_fields_act_as_python_ints():
     assert graph == AtomGraph(plain, [(0, 1)])
     assert all(type(v) is int for role in graph.roles for v in vars(role).values())
     assert json.loads(json.dumps(graph_to_dict(graph))) == graph_to_dict(AtomGraph(plain, [(0, 1)]))
+
+
+# The smallest graph a wire descriptor can describe: x1 and x2 joined by a one-atom odd chain.
+WIRE_ROLES = [DataCopy(0, 1), DataCopy(1, 1), WireAtom(0, 1)]
+WIRE_EDGES = [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "wire, message",
+    [
+        (WireDescriptor("0", (0, 1), Parity.ODD, 1), "wire descriptor id must be an integer, got '0'"),
+        (WireDescriptor(0, (0, 1.0), Parity.ODD, 1), "wire endpoint must be an integer, got 1.0"),
+        (WireDescriptor(0, (True, 1), Parity.ODD, 1), "wire endpoint must be an integer, got True"),
+        (WireDescriptor(0, (0, 1), Parity.ODD, 1.0), "wire length must be an integer, got 1.0"),
+        (WireDescriptor(0, (0,), Parity.ODD, 1), r"wire 0 endpoints \(0,\) are not a pair"),
+        (WireDescriptor(0, 1, Parity.ODD, 1), "wire 0 endpoints 1 are not a pair"),
+        (WireDescriptor(0, (0, 1), "odd", 1), "wire 0 parity must be a Parity, got 'odd'"),
+        ("x", "unknown wire descriptor 'x'"),
+    ],
+    ids=repr,
+)
+def test_wire_fields_take_the_integer_rule(wire, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        AtomGraph(WIRE_ROLES, WIRE_EDGES, wires=[wire])
+
+
+def test_numpy_wire_fields_act_as_python_ints():
+    plain = AtomGraph(WIRE_ROLES, WIRE_EDGES, wires=[WireDescriptor(0, (0, 1), Parity.ODD, 1)])
+    for wire in (
+        WireDescriptor(np.int64(0), (0, np.int64(1)), Parity.ODD, np.int64(1)),
+        WireDescriptor(np.uint8(0), [np.int32(0), 1], Parity.ODD, 1),
+    ):
+        graph = AtomGraph(WIRE_ROLES, WIRE_EDGES, wires=[wire])
+        assert graph == plain
+        (checked,) = graph.wires
+        assert type(checked.endpoints) is tuple
+        assert all(type(v) is int for v in (checked.wire, *checked.endpoints, checked.length))
+        assert json.loads(json.dumps(graph_to_dict(graph))) == graph_to_dict(plain)

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from rydqubo.compiler import AtomGraph, DataCopy, decode
+from rydqubo.compiler import AtomGraph, DataCopy, try_decode
 from rydqubo.errors import CapExceeded, InputError
 from rydqubo.qubo import (
     QuboInstance,
@@ -19,7 +19,8 @@ from rydqubo.qubo import (
     qubo_from_dict,
     qubo_to_dict,
 )
-from rydqubo.sim import HamiltonianSpec, af_predicate, diagonal_energy
+from rydqubo.sim import HamiltonianSpec, af_predicate
+from test_sim import diagonal_energy
 
 INT64_MAX = 2**63 - 1
 
@@ -98,7 +99,7 @@ class TestBitConfigurations:
 
     def readers(self):
         return {
-            "decode": lambda bits: decode(self.GRAPH, bits),
+            "decode": lambda bits: try_decode(self.GRAPH, bits),
             "evaluate": lambda bits: evaluate(self.QUBO, bits),
             "diagonal_energy": lambda bits: diagonal_energy(self.SPEC, -1.0, bits),
         }

@@ -3,23 +3,22 @@
 import logging
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rydqubo.compiler import compile_qubo, try_decode
-from rydqubo.errors import CapExceeded, EmptySelection, InputError, SimulationError
+from rydqubo.errors import CapExceeded, EmptySelection, InputError, SimulationError, require_finite
 from rydqubo.geometry import Layout, PhysicalParams, load_builtin_layout
-from rydqubo.qubo import QuboInstance
+from rydqubo.qubo import QuboInstance, check_assignment
 from rydqubo.sim import (
-    ConstantSchedule,
     HamiltonianMode,
     HamiltonianSpec,
     PulseSchedule,
     StateDistribution,
     af_predicate,
     build_hamiltonian,
-    diagonal_energy,
     evolve,
     measure_distribution,
     postselect,
@@ -31,6 +30,33 @@ from rydqubo.solver import enumerate_ground_configs
 # Fewer steps than the production default keeps unit tests quick; the
 # acceptance suite runs the full 4000-step sweeps.
 FAST_STEPS = 1200
+
+
+@dataclass(frozen=True)
+class ConstantSchedule:
+    """Fixed drive and detuning for a given duration: the schedule of the exact Rabi checks."""
+
+    omega: float
+    delta: float
+    total_time: float
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        if not self.total_time > 0:
+            raise InputError(f"total_time must be positive, got {self.total_time}")
+
+    def value(self, t: float) -> tuple[float, float]:
+        sim._clamp_time(t, self.total_time)
+        return self.omega, self.delta
+
+
+def diagonal_energy(spec, delta, bits):
+    """Drive-off energy of one basis configuration, in (2 pi) MHz: the reference energy model."""
+    bits = check_assignment(spec.n, bits)
+    energy = -delta * sum(w * b for w, b in zip(spec.detuning_weights, bits))
+    for a, b, u in spec.couplings:
+        energy += u * bits[a] * bits[b]
+    return energy
 
 
 def apply_hamiltonian(spec, omega, delta, psi):

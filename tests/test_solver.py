@@ -25,7 +25,6 @@ from rydqubo.solver import (
     certify_equivalence,
     enumerate_ground_configs,
     mwis_expand,
-    wire_table,
 )
 
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})
@@ -204,27 +203,82 @@ class TestSoftPenalty:
         assert configs == ((0, 1), (1, 0), (1, 1))
 
 
+def chain_reference(length, bi, bj):
+    """Largest independent sets of a path of ``length`` atoms: (-size, the sets in order).
+
+    The first atom is blocked when ``bi`` is set and the last when ``bj`` is;
+    every configuration of the path is enumerated.
+    """
+    best, found = -1, []
+    for bits in product((0, 1), repeat=length):
+        if (bi and bits[0]) or (bj and bits[-1]) or any(bits[p] and bits[p + 1] for p in range(length - 1)):
+            continue
+        size = sum(bits)
+        if size > best:
+            best, found = size, []
+        if size == best:
+            found.append(bits)
+    return -best, tuple(found)
+
+
+def compiled_chain(parity, m):
+    """The compiled graph of one chain of 2m (even) or 2m + 1 (odd) atoms between x1 and x2."""
+    if parity is Parity.EVEN:
+        return compile_qubo(QuboInstance(n=2, quadratic={(0, 1): 1}), WireLengthPolicy(even_atoms=2 * m))
+    return compile_qubo(QuboInstance(n=2, quadratic={(0, 1): -1}), WireLengthPolicy(odd_atoms=2 * m + 1))
+
+
+def certified_chain(parity, m):
+    """The certifier's view of one compiled chain: endpoint state -> (-size, maximum sets).
+
+    The size is the chain's entry in ``_component_tables``, and the sets are
+    ``_maximum_sets`` of the chain atoms that the set endpoints leave free,
+    each written as the chain's bits in position order.
+    """
+    graph = compiled_chain(parity, m)
+    classes = solver._copy_classes(graph)
+    tables, _, _ = solver._component_tables(graph, classes, cap=64)
+    chain = [a for a, role in enumerate(graph.roles) if isinstance(role, WireAtom)]
+    rows = {}
+    for s, size in enumerate(tables[(0, 1)]):
+        state = (s & 1, s >> 1)  # entry s sets x1 on bit 0 and x2 on bit 1
+        avail = sum(1 << a for a in chain)
+        for bit, (_, _, reach) in zip(state, classes):
+            if bit:
+                avail &= ~reach
+        sets = solver._maximum_sets(graph.masks, avail, size)
+        rows[state] = (-size, tuple(sorted(tuple(c >> a & 1 for a in chain) for c in sets)))
+    return rows
+
+
 class TestWireTable:
-    # Closed-form conditional energies in delta units, by endpoint state.
+    """The wire table: a chain's conditional energy by endpoint state, in delta units.
+
+    The closed forms are checked against ``chain_reference`` and against the
+    certifier's tables and maximum sets on compiled chains.
+    """
+
     EVEN_EXPECTED = {(1, 1): lambda m: m - 1, (1, 0): lambda m: m, (0, 1): lambda m: m, (0, 0): lambda m: m}
     ODD_EXPECTED = {(1, 1): lambda m: m, (1, 0): lambda m: m, (0, 1): lambda m: m, (0, 0): lambda m: m + 1}
 
     def test_even_table_all_rows(self):
         for m in range(1, 4):
+            certified = certified_chain(Parity.EVEN, m)
             for state, expected in self.EVEN_EXPECTED.items():
-                energy, configs = wire_table(Parity.EVEN, m, state)
-                assert energy == -expected(m), (m, state)
+                energy, configs = chain_reference(2 * m, *state)
+                assert energy == certified[state][0] == -expected(m), (m, state)
                 assert configs
 
     def test_odd_table_all_rows(self):
         for m in range(0, 4):
+            certified = certified_chain(Parity.ODD, m)
             for state, expected in self.ODD_EXPECTED.items():
-                energy, configs = wire_table(Parity.ODD, m, state)
-                assert energy == -expected(m), (m, state)
+                energy, _ = chain_reference(2 * m + 1, *state)
+                assert energy == certified[state][0] == -expected(m), (m, state)
 
     def test_even_both_off_row_is_degenerate(self):
         for m in range(1, 4):
-            _, configs = wire_table(Parity.EVEN, m, (0, 0))
+            _, configs = chain_reference(2 * m, 0, 0)
             assert len(configs) >= 2
             # the two canonical alternating patterns are always present
             head_loaded = tuple(1 - (p % 2) for p in range(2 * m))
@@ -233,55 +287,27 @@ class TestWireTable:
             assert tail_loaded in configs
 
     def test_odd_single_atom_rows(self):
-        energy, configs = wire_table(Parity.ODD, 0, (0, 0))
-        assert energy == -1 and configs == ((1,),)
-        energy, configs = wire_table(Parity.ODD, 0, (1, 0))
-        assert energy == 0 and configs == ((0,),)
+        certified = certified_chain(Parity.ODD, 0)
+        assert chain_reference(1, 0, 0) == certified[(0, 0)] == (-1, ((1,),))
+        assert chain_reference(1, 1, 0) == certified[(1, 0)] == (0, ((0,),))
 
     def test_agrees_with_chain_enumeration_oracle(self):
-        # Independent oracle: enumerate the entire clamped chain by hand.
-        def oracle(length, bi, bj):
-            best = None
-            count = 0
-            for bits in product((0, 1), repeat=length):
-                if bi and bits[0]:
-                    continue
-                if bj and bits[-1]:
-                    continue
-                if any(bits[p] and bits[p + 1] for p in range(length - 1)):
-                    continue
-                s = sum(bits)
-                if best is None or s > best:
-                    best, count = s, 1
-                elif s == best:
-                    count += 1
-            return -best, count
-
         for parity, m_values in ((Parity.EVEN, range(1, 4)), (Parity.ODD, range(0, 4))):
             for m in m_values:
                 length = 2 * m if parity is Parity.EVEN else 2 * m + 1
+                certified = certified_chain(parity, m)
                 for state in product((0, 1), repeat=2):
-                    energy, configs = wire_table(parity, m, state)
-                    expect_energy, expect_count = oracle(length, *state)
-                    assert energy == expect_energy
-                    assert len(configs) == expect_count
+                    assert certified[state] == chain_reference(length, *state), (parity, m, state)
 
     def test_symmetric_under_endpoint_swap_and_reversal(self):
         for parity, m_values in ((Parity.EVEN, range(1, 4)), (Parity.ODD, range(0, 4))):
             for m in m_values:
+                certified = certified_chain(parity, m)
                 for bi, bj in product((0, 1), repeat=2):
-                    e1, c1 = wire_table(parity, m, (bi, bj))
-                    e2, c2 = wire_table(parity, m, (bj, bi))
+                    e1, c1 = certified[(bi, bj)]
+                    e2, c2 = certified[(bj, bi)]
                     assert e1 == e2
                     assert sorted(tuple(reversed(c)) for c in c2) == sorted(c1)
-
-    def test_bad_arguments(self):
-        with pytest.raises(InputError):
-            wire_table(Parity.EVEN, 0, (0, 0))
-        with pytest.raises(InputError):
-            wire_table(Parity.ODD, -1, (0, 0))
-        with pytest.raises(InputError):
-            wire_table(Parity.ODD, 1, (0, 2))
 
 
 class TestCertify:
@@ -546,15 +572,11 @@ class TestClampedCertify:
         "parity, m", [(Parity.EVEN, m) for m in (1, 2, 3)] + [(Parity.ODD, m) for m in (0, 1, 2, 3)]
     )
     def test_chain_tables_match_wire_table(self, parity, m):
-        if parity is Parity.EVEN:
-            q, policy = QuboInstance(n=2, quadratic={(0, 1): 1}), WireLengthPolicy(even_atoms=2 * m)
-        else:
-            q, policy = QuboInstance(n=2, quadratic={(0, 1): -1}), WireLengthPolicy(odd_atoms=2 * m + 1)
-        graph = compile_qubo(q, policy)
+        graph = compiled_chain(parity, m)
         tables, _, largest = solver._component_tables(graph, solver._copy_classes(graph), cap=64)
         assert largest == (2 * m if parity is Parity.EVEN else 2 * m + 1)
-        # Entry s sets x1 on bit 0 and x2 on bit 1.
-        assert tables[(0, 1)] == [-wire_table(parity, m, (s & 1, s >> 1))[0] for s in range(4)]
+        # The wire table's closed forms; entry s sets x1 on bit 0 and x2 on bit 1.
+        assert tables[(0, 1)] == ([m, m, m, m - 1] if parity is Parity.EVEN else [m + 1, m, m, m])
 
     @pytest.mark.parametrize("target", [0, 1, 2, 3])
     def test_offset_star_table(self, target):
