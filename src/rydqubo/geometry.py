@@ -45,6 +45,7 @@ def blockade_radius(params: PhysicalParams) -> float:
 
 def pair_interaction(params: PhysicalParams, distance: float) -> float:
     """Van der Waals energy c6 / r^6 of one atom pair."""
+    distance = require_real(distance, "pair distance")
     if not distance > 0:
         raise InputError(f"pair distance must be positive, got {distance}")
     return params.c6 / distance**6

@@ -155,19 +155,23 @@ def normalize_to_integers(
 
     Scaling by a positive factor leaves the argmin set unchanged, so the
     returned integer instance has the same minimisers as the rational input.
-    The factor is recorded in ``scale``.  Floats are rejected: callers decide
-    how to rationalise measured values.
+    The factor is recorded in ``scale``.  Coefficients are integers (numpy's
+    too), ``Fraction`` or ``Decimal``; bools and strings are refused, and so
+    are floats: callers decide how to rationalise measured values.
     """
 
     def to_fraction(value: object, where: str) -> Fraction:
-        if isinstance(value, float):
+        if isinstance(value, (float, np.floating)):
             raise InputError(
                 f"{where}: float {value!r} rejected; convert to Fraction explicitly"
             )
         try:
-            return Fraction(value)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: not a rational number: {value!r}") from exc
+            # Fraction also reads a bool as an int and a string such as "1/3".
+            if not isinstance(value, (str, bool)):
+                return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise InputError(f"{where}: not a rational number: {value!r}")
 
     lin = {i: to_fraction(c, f"linear[{i}]") for i, c in linear.items()}
     quad = {k: to_fraction(c, f"quadratic[{k}]") for k, c in quadratic.items()}

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from rydqubo.compiler import (
     graph_to_dict,
 )
 from rydqubo.errors import GraphError, InputError, require_finite, require_int, require_real
-from rydqubo.geometry import Layout, PhysicalParams
-from rydqubo.qubo import QuboInstance, brute_force_minima
+from rydqubo.geometry import Layout, PhysicalParams, pair_interaction
+from rydqubo.qubo import QuboInstance, brute_force_minima, normalize_to_integers
 from rydqubo.sim import (
     HamiltonianSpec,
     PulseSchedule,
@@ -132,6 +133,104 @@ def test_dataclass_fields_are_stored_as_floats():
     assert type(PhysicalParams(delta=np.int64(5)).delta) is float
 
 
+# A schedule time is a real number or an array of them, scalar or array alike.
+REFUSED_TIMES = [True, np.bool_(True), "1", None, 1j]
+REFUSED_TIMES += [np.array([True, False]), np.array(["1"]), np.array([1j]), [0.5, None]]
+
+
+@pytest.mark.parametrize("t", REFUSED_TIMES, ids=repr)
+@pytest.mark.parametrize("schedule", [PulseSchedule(), ConstantSchedule(1.0, 0.0, 2.5)], ids=["pulse", "constant"])
+def test_schedule_times_take_the_real_rule(schedule, t):
+    with pytest.raises(InputError, match="^schedule times must be real numbers, got "):
+        schedule.value(t)
+
+
+def test_schedule_times_are_computed_in_float64():
+    schedule = PulseSchedule()
+    for t in (np.float32(0.3), np.array([0.3], dtype=np.float32), np.int64(1), Fraction(1, 2)):
+        expected = schedule.value(np.asarray(t, dtype=float))
+        got = schedule.value(t)
+        assert all(np.asarray(x).dtype == np.float64 for x in got)
+        assert np.array_equal(got, expected)
+    assert all(type(x) is float for x in schedule.value(np.float32(0.3)))
+    with pytest.raises(InputError, match="^schedule time must be a finite real number"):
+        schedule.value(10**400)
+
+
+def one_drive(t):
+    return 1.0, 0.0
+
+
+# Each without a finite positive real total_time or a callable value.
+BAD_SCHEDULES = {
+    "zero": 0, "str": "x", "false": False, "object": object(),
+    "no-value": SimpleNamespace(total_time=1.0), "value-not-callable": SimpleNamespace(total_time=1.0, value=3),
+    **{f"total_time={t!r}": SimpleNamespace(total_time=t, value=one_drive)
+       for t in (0.0, -1.0, True, "1", None, math.nan, math.inf)},
+}
+
+
+@pytest.mark.parametrize("schedule", BAD_SCHEDULES.values(), ids=BAD_SCHEDULES.keys())
+def test_evolve_refuses_a_schedule_without_total_time_and_value(schedule):
+    with pytest.raises(InputError, match="^schedule needs a positive total_time and a value method, got "):
+        evolve(HamiltonianSpec(n=1), schedule, steps=2)
+
+
+def test_only_none_takes_the_default_schedule():
+    spec = HamiltonianSpec(n=2, couplings=((0, 1, 20.0),))
+    assert np.array_equal(evolve(spec, None, steps=40), evolve(spec, PulseSchedule(), steps=40))
+    drive = SimpleNamespace(total_time=np.int64(1), value=one_drive)
+    assert np.array_equal(evolve(spec, drive, steps=40), evolve(spec, ConstantSchedule(1.0, 0.0, 1.0), steps=40))
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1/3", " 2 ", None, 1j, Decimal("inf"), Decimal("nan")], ids=repr)
+def test_normalize_takes_only_rationals(value):
+    with pytest.raises(InputError, match=r"^linear\[0\]: not a rational number: "):
+        normalize_to_integers({0: value}, {})
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5)], ids=repr)
+def test_normalize_refuses_every_float(value):
+    with pytest.raises(InputError, match=r"^linear\[0\]: float .* rejected; convert to Fraction explicitly$"):
+        normalize_to_integers({0: value}, {})
+
+
+def test_normalize_takes_ints_fractions_and_decimals():
+    for value in (3, np.int64(3), np.uint8(3), Fraction(3), Decimal(3), Decimal("3.0")):
+        assert normalize_to_integers({0: value}, {}) == normalize_to_integers({0: 3}, {})
+    q = normalize_to_integers({0: Decimal("0.5")}, {(0, 1): Fraction(1, 3)})
+    assert (q.scale, q.linear, q.quadratic) == (6, {0: 3}, {(0, 1): 2})
+
+
+@pytest.mark.parametrize("distance", [True, np.bool_(True), "3", None, 1j, math.nan, math.inf], ids=repr)
+def test_pair_distance_takes_the_real_rule(distance):
+    with pytest.raises(InputError, match="^pair distance must be a finite real number, got "):
+        pair_interaction(PhysicalParams(), distance)
+
+
+def test_numpy_pair_distances_act_as_floats():
+    params = PhysicalParams()
+    for distance in (np.int64(7), np.float32(7.0), Fraction(7)):
+        assert pair_interaction(params, distance) == pair_interaction(params, 7.0)
+
+
+DISTRIBUTION_FLAGS = {
+    "shots=True": ({"shots": True}, "shots must be an integer >= 1, got True"),
+    "shots='5'": ({"shots": "5"}, "shots must be an integer >= 1, got '5'"),
+    "shots=0": ({"shots": 0}, "shots must be an integer >= 1, got 0"),
+    "shots=2.0": ({"shots": 2.0}, "shots must be an integer >= 1, got 2.0"),
+    "exact='no'": ({"exact": "no"}, "exact must be a bool, got 'no'"),
+    "exact=1": ({"exact": 1}, "exact must be a bool, got 1"),
+    "exact=None": ({"exact": None}, "exact must be a bool, got None"),
+}
+
+
+@pytest.mark.parametrize("fields, message", DISTRIBUTION_FLAGS.values(), ids=DISTRIBUTION_FLAGS.keys())
+def test_distribution_flags_take_their_rules(fields, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        StateDistribution({"0": 1.0}, **fields)
+
+
 class TestNumpyIntegersActAsPythonInts:
     def test_evolve_steps(self):
         spec = HamiltonianSpec(n=2, couplings=((0, 1, 20.0),))
@@ -178,6 +277,7 @@ class TestNumpyIntegersActAsPythonInts:
         sampled = sample_distribution(dist, shots=np.int64(500), seed=np.uint8(3))
         assert sampled == sample_distribution(dist, shots=500, seed=3)
         assert type(sampled.shots) is int
+        assert type(StateDistribution({"0": 1.0}, exact=False, shots=np.int64(5)).shots) is int
 
 
 F3 = QuboInstance(n=2, linear={0: -2, 1: 1}, quadratic={(0, 1): 1})

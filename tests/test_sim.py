@@ -104,6 +104,30 @@ def block_sizes_reference(n):
     return [base + 1] * extra + [base] * (count - extra)
 
 
+def pulse_reference(s, t):
+    """(Omega, Delta) of a PulseSchedule at one time, by the three-segment formulas."""
+    total = s.total_time
+    t = min(max(t, 0.0), total)
+    up, down = s.t1 * total, s.t2 * total
+    if t < up:
+        return s.omega0 * t / up, s.delta_i
+    if t <= down:
+        return s.omega0, s.delta_i + (s.delta_f - s.delta_i) * (t - up) / (down - up)
+    return s.omega0 * (total - t) / (total - down), s.delta_f
+
+
+def stage_midpoints(total, steps):
+    """Every stage midpoint of a sweep, in order, one scalar sum at a time."""
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    h = total / steps
+    d1, d2, d3 = w1 * h, (1.0 - 2.0 * w1) * h, w1 * h
+    times = []
+    for step in range(steps):
+        t0 = step * h
+        times += [t0 + 0.5 * d1, t0 + d1 + 0.5 * d2, t0 + d1 + d2 + 0.5 * d3]
+    return times
+
+
 def reference_sweep(spec, schedule, steps):
     """The triple-jump split sweep of ``evolve``, one stage and one axis at a time."""
     n = spec.n
@@ -167,6 +191,29 @@ class TestSchedule:
         assert ConstantSchedule(1.0, 1.0, 1e6).value(-5e-4) == (1.0, 1.0)
         with pytest.raises(InputError, match="outside"):
             ConstantSchedule(1.0, 1.0, 1e-12).value(-5e-10)
+
+    def test_array_times_match_one_time_at_a_time_bit_for_bit(self):
+        s = PulseSchedule()
+        times = stage_midpoints(s.total_time, 400)
+        times += [0.0, s.t1 * s.total_time, s.t2 * s.total_time, s.total_time]
+        omega, delta = s.value(np.array(times))
+        assert omega.dtype == delta.dtype == np.float64 and omega.shape == delta.shape == (len(times),)
+        one_at_a_time = np.array([s.value(t) for t in times])
+        reference = np.array([pulse_reference(s, t) for t in times])
+        assert np.stack([omega, delta], axis=1).tobytes() == one_at_a_time.tobytes() == reference.tobytes()
+        assert all(type(x) is float for x in s.value(times[0]))
+
+    def test_array_times_keep_their_shape(self):
+        grid = np.linspace(0.0, 2.5, 12).reshape(3, 4)
+        omega, delta = PulseSchedule().value(grid)
+        assert omega.shape == delta.shape == (3, 4)
+        assert (omega[0, 0], delta[2, 3]) == (0.0, 5.0)
+
+    def test_an_array_outside_the_sweep_names_its_first_bad_time(self):
+        with pytest.raises(InputError, match=r"^schedule evaluated at t=3\.0 outside \[0, 2\.5\]$"):
+            PulseSchedule().value(np.array([1.0, 3.0, -1.0, math.nan]))
+        with pytest.raises(InputError, match=r"^schedule evaluated at t=nan outside"):
+            ConstantSchedule(1.0, 1.0, 2.5).value([0.5, math.nan, 3.0])
 
     def test_fraction_invariants(self):
         with pytest.raises(InputError):
@@ -515,6 +562,28 @@ class TestRotationKernel:
         assert np.max(np.abs(chunked - whole)) <= 1e-13
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1)
         assert np.max(np.abs(evolve(spec, PulseSchedule(), steps=steps) - whole)) <= 1e-13
+
+    def test_one_schedule_call_per_chunk(self, monkeypatch):
+        class Spy:
+            total_time = 2.5
+
+            def __init__(self):
+                self.calls = []
+
+            def value(self, t):
+                self.calls.append(np.array(t))
+                return PulseSchedule().value(t)
+
+        graph, _ = load_builtin_layout("G3")
+        spec = build_hamiltonian(graph)
+        # Blocks of dimension 6 and 12 store 3 * (36 + 144) entries a step, so
+        # 100 steps take three chunks of 40, 40 and 20 steps.
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 40 * 540)
+        spy = Spy()
+        assert np.array_equal(evolve(spec, spy, steps=100), evolve(spec, PulseSchedule(), steps=100))
+        assert [t.shape for t in spy.calls] == [(120,), (120,), (60,)]
+        assert all(t.dtype == np.float64 for t in spy.calls)
+        assert np.concatenate(spy.calls).tobytes() == np.array(stage_midpoints(2.5, 100)).tobytes()
 
     def test_zero_drive_keeps_the_ground_state_exactly(self):
         # phi = 0 at every stage: each rotation is the identity, with s = 1.
