@@ -36,7 +36,6 @@ from .compiler import (
     WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
-    effective_linear,
     graph_from_dict,
     graph_to_dict,
     planned_atom_count,
@@ -56,8 +55,6 @@ from .geometry import (
     builtin_names,
     layout_from_csv,
     layout_from_dict,
-    layout_to_csv,
-    layout_to_dict,
     load_builtin_layout,
     pair_interaction,
     validate_unit_disk,

@@ -218,9 +218,9 @@ def cmd_validate(graph_path, layout_path, builtin, margin, d_r, c6, omega, delta
             f"min non-edge {fmt(report.min_nonedge_distance)}"
         )
         for a, b, dist in report.edge_violations[:5]:
-            click.echo(f"  edge {graph.atom_label(a)}-{graph.atom_label(b)} at {dist:.3f} um")
+            click.echo(f"  edge {graph.labels[a]}-{graph.labels[b]} at {dist:.3f} um")
         for a, b, dist in report.nonedge_violations[:5]:
-            click.echo(f"  non-edge {graph.atom_label(a)}-{graph.atom_label(b)} at {dist:.3f} um")
+            click.echo(f"  non-edge {graph.labels[a]}-{graph.labels[b]} at {dist:.3f} um")
     if not report.ok:
         raise click.exceptions.Exit(EXIT_FAILURE)
 

@@ -240,9 +240,6 @@ class AtomGraph:
         ]
         return tuple(out)
 
-    def atom_label(self, atom: int) -> str:
-        return self.labels[atom]
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -458,25 +455,18 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
 
 
 def _effective_targets(q: QuboInstance) -> list[int]:
-    """``effective_linear`` of every variable, in one pass over the couplings."""
+    """Linear coefficient each variable's gadget must realise, in one pass over the couplings.
+
+    Every unit of negative coupling incident to a variable adds one unwanted
+    unit of +x through its odd wire, so the gadget target is the raw
+    coefficient minus the total negative coupling weight.
+    """
     targets = [q.linear.get(v, 0) for v in range(q.n)]
     for (i, j), w in q.quadratic.items():
         if w < 0:
             targets[i] += w
             targets[j] += w
     return targets
-
-
-def effective_linear(q: QuboInstance, var: int) -> int:
-    """Linear coefficient the variable gadget must realise.
-
-    Every unit of negative coupling incident to ``var`` adds one unwanted
-    unit of +x_var through its odd wire, so the gadget target is the raw
-    coefficient minus the total negative coupling weight.
-    """
-    if not 0 <= var < q.n:
-        raise InputError(f"variable {var} out of range [0, {q.n})")
-    return _effective_targets(q)[var]
 
 
 @dataclass(frozen=True)

@@ -83,15 +83,6 @@ class Layout:
             raise InputError(f"layout places atoms {extra} that the graph does not have")
 
 
-def layout_to_dict(layout: Layout) -> dict:
-    return {
-        "version": 1,
-        "positions": [
-            {"id": atom, "x": x, "y": y} for atom, (x, y) in sorted(layout.positions.items())
-        ],
-    }
-
-
 def _place(positions: dict, atom, x: float, y: float) -> None:
     """Add one atom to ``positions``, refusing an id placed twice."""
     if atom in positions:
@@ -107,13 +98,6 @@ def layout_from_dict(data: Mapping) -> Layout:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed layout document: {exc}") from exc
     return Layout(positions)
-
-
-def layout_to_csv(layout: Layout) -> str:
-    lines = ["id,x,y"]
-    for atom, (x, y) in sorted(layout.positions.items()):
-        lines.append(f"{atom},{x:.6g},{y:.6g}")
-    return "\n".join(lines) + "\n"
 
 
 def layout_from_csv(text: str) -> Layout:

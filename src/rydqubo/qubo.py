@@ -95,16 +95,6 @@ class QuboInstance:
             abs(c) for c in self.quadratic.values()
         )
 
-    def scaled(self, factor: int) -> "QuboInstance":
-        """Return the instance with every coefficient multiplied by ``factor`` > 0."""
-        factor = require_int(factor, "scaling factor", 1)
-        return QuboInstance(
-            n=self.n,
-            linear={i: c * factor for i, c in self.linear.items()},
-            quadratic={k: c * factor for k, c in self.quadratic.items()},
-            scale=self.scale * factor,
-        )
-
     def __repr__(self) -> str:
         return (
             f"QuboInstance(n={self.n}, linear_terms={len(self.linear)}, "

@@ -42,7 +42,6 @@ in atom order.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -535,9 +534,6 @@ class StateDistribution:
             "shots": self.shots,
             "probabilities": dict(self._ranking),
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def measure_distribution(

@@ -8,9 +8,9 @@ PUBLIC_NAMES = [
     "Layout", "Offset", "Parity", "PhysicalParams", "PulseSchedule", "QuboInstance", "RydquboError",
     "SimulationError", "StateDistribution", "ValidationReport", "WireAtom", "WireDescriptor",
     "WireLengthPolicy", "af_predicate", "blockade_radius", "brute_force_minima", "build_hamiltonian",
-    "builtin_names", "certify_equivalence", "compile_qubo", "compiler", "effective_linear",
+    "builtin_names", "certify_equivalence", "compile_qubo", "compiler",
     "enumerate_ground_configs", "errors", "evaluate", "evolve", "geometry", "graph_from_dict",
-    "graph_to_dict", "layout_from_csv", "layout_from_dict", "layout_to_csv", "layout_to_dict",
+    "graph_to_dict", "layout_from_csv", "layout_from_dict",
     "load_builtin_layout", "measure_distribution", "mwis_expand", "normalize_to_integers",
     "pair_interaction", "planned_atom_count", "postselect", "qubo", "qubo_from_dict", "qubo_to_dict",
     "sample_distribution", "sim", "solver", "try_decode", "validate_unit_disk",

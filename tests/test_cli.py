@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from rydqubo.cli import main
 from rydqubo.compiler import AtomGraph, DataCopy, graph_from_dict, graph_to_dict, try_decode
-from rydqubo.geometry import Layout, layout_to_dict, load_builtin_layout
+from rydqubo.geometry import load_builtin_layout
 
 F3_DOC = {"n": 2, "linear": {"1": -2, "2": 1}, "quadratic": [{"i": 1, "j": 2, "w": 1}]}
 F4_DOC = {"n": 2, "linear": {"1": -2, "2": 1}, "quadratic": [{"i": 1, "j": 2, "w": -1}]}
@@ -33,6 +33,11 @@ def runner():
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def layout_doc(positions):
+    """A layout JSON document placing each atom id at its (x, y)."""
+    return {"positions": [{"id": a, "x": x, "y": y} for a, (x, y) in sorted(positions.items())]}
 
 
 class TestCompile:
@@ -142,7 +147,7 @@ class TestCompile:
         # as a JSON document and as a CSV file.
         g3, g3_layout = load_builtin_layout("G3")
         write_json(graph, graph_to_dict(g3))
-        doc = layout_to_dict(g3_layout)
+        doc = layout_doc(g3_layout.positions)
         doc["positions"].insert(1, {"id": 1, "x": 0.5, "y": 0})
         write_json(layout, doc)
         csv_layout = tmp_path / "layout.csv"
@@ -253,6 +258,10 @@ class TestCertify:
         write_json(graph_path, doc)
         result = runner.invoke(main, ["certify", str(qubo), str(graph_path)])
         assert result.exit_code == 1
+        assert result.output == (
+            "FAIL: decoded ground set {(0, 0), (1, 0), (1, 1)}, minimum 0\n"
+            "  spurious: [(1, 0)]\n"
+        )
 
 
 class TestValidate:
@@ -262,31 +271,32 @@ class TestValidate:
 
     def test_perturbed_layout_fails(self, runner, tmp_path):
         graph, layout = load_builtin_layout("G4")
-        from rydqubo.compiler import graph_to_dict
-
         graph_path = tmp_path / "g4.json"
         write_json(graph_path, graph_to_dict(graph))
         moved = dict(layout.positions)
         x, y = moved[5]
         moved[5] = (x + 2.0, y)  # push the coupling atom 2 um sideways
         layout_path = tmp_path / "layout.json"
-        from rydqubo.geometry import Layout
-
-        write_json(layout_path, layout_to_dict(Layout(moved)))
+        write_json(layout_path, layout_doc(moved))
         result = runner.invoke(
             main, ["validate", str(graph_path), str(layout_path), "--d-r", "7.7"]
         )
         assert result.exit_code == 1
+        # The coupling atom W now sits beyond d_r of all three copies of x1.
+        assert result.output == (
+            "FAIL: d_r=7.700 um, max edge 9.600 um, min non-edge 10.748 um\n"
+            "  edge x1^(1)-W at 9.600 um\n"
+            "  edge x1^(2)-W at 7.859 um\n"
+            "  edge x1^(3)-W at 7.859 um\n"
+        )
 
     def test_csv_layout_accepted(self, runner, tmp_path):
         graph, layout = load_builtin_layout("G1")
-        from rydqubo.compiler import graph_to_dict
-        from rydqubo.geometry import layout_to_csv
-
         graph_path = tmp_path / "g1.json"
         write_json(graph_path, graph_to_dict(graph))
         layout_path = tmp_path / "layout.csv"
-        layout_path.write_text(layout_to_csv(layout), encoding="utf-8")
+        rows = "".join(f"{a},{x},{y}\n" for a, (x, y) in sorted(layout.positions.items()))
+        layout_path.write_text("id,x,y\n" + rows, encoding="utf-8")
         result = runner.invoke(main, ["validate", str(graph_path), str(layout_path)])
         assert result.exit_code == 0
 
@@ -402,7 +412,7 @@ class TestSimulate:
         graph = AtomGraph([DataCopy(var=v, copy_index=1) for v in range(n)], edges=[])
         graph_path, layout_path = tmp_path / "graph.json", tmp_path / "layout.json"
         write_json(graph_path, graph_to_dict(graph))
-        write_json(layout_path, layout_to_dict(Layout({a: (10.0 * a, 0.0) for a in range(n)})))
+        write_json(layout_path, layout_doc({a: (10.0 * a, 0.0) for a in range(n)}))
         result = runner.invoke(
             main,
             ["simulate", str(graph_path), str(layout_path), "--mode", "vdw",

@@ -19,7 +19,6 @@ from rydqubo.compiler import (
     WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
-    effective_linear,
     graph_from_dict,
     graph_to_dict,
     planned_atom_count,
@@ -58,22 +57,27 @@ def random_instance(rng, n_range=(1, 4), coeff=2):
     )
 
 
+def gadget_sizes(q):
+    """(data copies, offsets) of each variable's gadget in ``compile_qubo(q)``."""
+    graph = compile_qubo(q)
+    offsets = [role.var for role in graph.roles if isinstance(role, Offset)]
+    return [(len(graph.var_copies[v]), offsets.count(v)) for v in range(q.n)]
+
+
 class TestEffectiveLinear:
+    """A target t < 0 takes |t| copies; t >= 0 takes one copy and t + 1 offsets."""
+
     def test_negative_coupling_lowers_the_target(self):
-        assert effective_linear(F4, 0) == -3
-        assert effective_linear(F4, 1) == 0
+        # Targets -3 and 0.
+        assert gadget_sizes(F4) == [(3, 0), (1, 1)]
 
     def test_no_negative_couplings_leaves_raw_coefficient(self):
-        assert effective_linear(F3, 0) == -2
-        assert effective_linear(F3, 1) == 1
+        # Targets -2 and 1.
+        assert gadget_sizes(F3) == [(2, 0), (1, 2)]
 
     def test_double_negative_coupling(self):
-        assert effective_linear(F6, 0) == -4
-        assert effective_linear(F6, 1) == -1
-
-    def test_index_bounds(self):
-        with pytest.raises(InputError):
-            effective_linear(F3, 2)
+        # Targets -4 and -1.
+        assert gadget_sizes(F6) == [(4, 0), (1, 0)]
 
 
 def chain(graph, wire=0):
@@ -255,7 +259,7 @@ class TestCompile:
             g = compile_qubo(q, policy=policy)
             expected = 0
             for v in range(q.n):
-                t = effective_linear(q, v)
+                t = q.linear.get(v, 0) + sum(w for pair, w in q.quadratic.items() if v in pair and w < 0)
                 expected += -t if t < 0 else t + 2
             for w in q.quadratic.values():
                 expected += w * policy.even_atoms if w > 0 else -w * policy.odd_atoms
@@ -545,7 +549,11 @@ class TestGroundDecodeUnanimity:
 
         for _ in range(10):
             q = random_instance(rng, n_range=(2, 3), coeff=1)
-            scaled = q.scaled(2)
+            scaled = QuboInstance(
+                n=q.n,
+                linear={v: 2 * c for v, c in q.linear.items()},
+                quadratic={pair: 2 * w for pair, w in q.quadratic.items()},
+            )
             if planned_atom_count(q) == planned_atom_count(scaled):
                 continue  # possible only for the all-zero instance
             report = certify_equivalence(scaled, compile_qubo(scaled), enum_cap=40)

@@ -307,7 +307,12 @@ class TestBruteForce:
             )
             factor = rng.choice((2, 3, 7))
             value, argmin = brute_force_minima(q)
-            scaled_value, scaled_argmin = brute_force_minima(q.scaled(factor))
+            scaled = QuboInstance(
+                n=n,
+                linear={i: factor * c for i, c in q.linear.items()},
+                quadratic={pair: factor * w for pair, w in q.quadratic.items()},
+            )
+            scaled_value, scaled_argmin = brute_force_minima(scaled)
             assert scaled_value == factor * value
             assert scaled_argmin == argmin
 
