@@ -1,4 +1,4 @@
-"""Batch front-end: compile, certify, validate, simulate, export.
+"""Batch front-end: compile, certify, validate, simulate.
 
 Exit codes: 0 success or pass, 1 certification/validation failure,
 2 malformed input, 3 resource cap hit.  All randomness takes --seed and
@@ -15,6 +15,7 @@ import click
 from . import __version__
 from .compiler import (
     DEFAULT_MAX_ATOMS,
+    AtomGraph,
     WireLengthPolicy,
     compile_qubo,
     graph_from_dict,
@@ -61,10 +62,31 @@ def _read_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _read_layout(path: str) -> Layout:
-    if path.lower().endswith(".csv"):
-        return layout_from_csv(Path(path).read_text(encoding="utf-8"))
-    return layout_from_dict(_read_json(path))
+def _read_inputs(
+    builtin, graph_path, layout_path, layout_required: bool
+) -> tuple[AtomGraph, Layout | None]:
+    """The bundled graph and layout named ``builtin``, or the graph and layout read from files."""
+    if builtin:
+        return load_builtin_layout(builtin)
+    if not graph_path or (layout_required and not layout_path):
+        need = "GRAPH_JSON and LAYOUT_JSON_OR_CSV, or" if layout_required else "GRAPH_JSON or"
+        raise _fail(EXIT_INPUT, f"provide {need} use --builtin")
+    graph = graph_from_dict(_read_json(graph_path))
+    if not layout_path:
+        return graph, None
+    if layout_path.lower().endswith(".csv"):
+        return graph, layout_from_csv(Path(layout_path).read_text(encoding="utf-8"))
+    return graph, layout_from_dict(_read_json(layout_path))
+
+
+def _write_report(report, output: str | None, as_json: bool) -> None:
+    """Write ``report`` as indented JSON to ``output`` if given; echo it as one line if ``as_json``."""
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json())
+            handle.write("\n")
+    if as_json:
+        click.echo(report.to_json(indent=None))
 
 
 class _Main(click.Group):
@@ -158,13 +180,8 @@ def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, max_
     else:
         graph = graph_from_dict(_read_json(graph_path))
     report = certify_equivalence(q, graph, enum_cap=enum_cap, brute_cap=brute_cap)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-    if as_json:
-        click.echo(report.to_json(indent=None))
-    else:
+    _write_report(report, output, as_json)
+    if not as_json:
         verdict = "PASS" if report.passed else "FAIL"
         decoded = ", ".join(str(a) for a in report.decoded) or "(none)"
         click.echo(f"{verdict}: decoded ground set {{{decoded}}}, minimum {report.qubo_min_value}")
@@ -192,22 +209,11 @@ def cmd_certify(qubo_path, graph_path, output, wire_even_len, wire_odd_len, max_
 @click.option("--json", "as_json", is_flag=True, help="Print the report JSON to stdout.")
 def cmd_validate(graph_path, layout_path, builtin, margin, d_r, c6, omega, delta, output, as_json) -> None:
     """Check a layout against the blockade disk rule. Exit 0 iff valid."""
-    if builtin:
-        graph, layout = load_builtin_layout(builtin)
-    else:
-        if not graph_path or not layout_path:
-            raise _fail(EXIT_INPUT, "provide GRAPH_JSON and LAYOUT_JSON_OR_CSV, or use --builtin")
-        graph = graph_from_dict(_read_json(graph_path))
-        layout = _read_layout(layout_path)
+    graph, layout = _read_inputs(builtin, graph_path, layout_path, layout_required=True)
     params = PhysicalParams(c6=c6, omega=omega, delta=delta)
     report = validate_unit_disk(graph, layout, params, margin=margin, d_r=d_r)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-    if as_json:
-        click.echo(report.to_json(indent=None))
-    else:
+    _write_report(report, output, as_json)
+    if not as_json:
         verdict = "PASS" if report.ok else "FAIL"
 
         def fmt(value):
@@ -248,15 +254,7 @@ def cmd_simulate(
     u0, postselect_af, shots, seed, cap, output, as_json,
 ) -> None:
     """Integrate the sweep and write the final distribution, sorted by weight."""
-    layout = None
-    if builtin:
-        graph, layout = load_builtin_layout(builtin)
-    else:
-        if not graph_path:
-            raise _fail(EXIT_INPUT, "provide GRAPH_JSON or use --builtin")
-        graph = graph_from_dict(_read_json(graph_path))
-        if layout_path:
-            layout = _read_layout(layout_path)
+    graph, layout = _read_inputs(builtin, graph_path, layout_path, layout_required=False)
     schedule = PulseSchedule(total_time=total_time, omega0=omega0, delta_i=delta_i, delta_f=delta_f)
     params = PhysicalParams(omega=omega0, delta=delta_f)
     ham_mode = HamiltonianMode.IDEAL_BLOCKADE if mode == "ideal" else HamiltonianMode.FULL_VDW

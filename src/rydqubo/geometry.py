@@ -48,7 +48,13 @@ def pair_interaction(params: PhysicalParams, distance: float) -> float:
     distance = require_real(distance, "pair distance")
     if not distance > 0:
         raise InputError(f"pair distance must be positive, got {distance}")
-    return params.c6 / distance**6
+    try:
+        energy = params.c6 / distance**6
+    except (OverflowError, ZeroDivisionError):  # r^6 beyond the float range, or below it
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise InputError(f"pair distance {distance} um is out of range: c6 / r^6 is not a finite float")
+    return energy
 
 
 @dataclass

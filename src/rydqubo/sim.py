@@ -72,19 +72,28 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 
 
+def _reals(value, what: str) -> np.ndarray:
+    """``value``, one real number or an array of them, as float64.
+
+    Refuses bools, strings, None and complex numbers; ``what`` names one
+    value in the message.
+    """
+    out = np.asarray(value)
+    if out.dtype.kind == "O" and is_real_type(type(value)):  # Fraction, or an int beyond 64 bits
+        out = np.asarray(require_real(value, what))
+    if out.dtype.kind not in "iuf":
+        got = repr(value) if out.ndim == 0 else f"an array of {out.dtype}"
+        raise InputError(f"{what}s must be real numbers, got {got}")
+    return np.asarray(out, dtype=float)
+
+
 def _clamp_time(t, total: float) -> np.ndarray:
     """``t``, one time or an array of times, as float64 clamped to [0, total].
 
-    Refuses bools, strings, None and complex numbers, and NaN or a time
-    further outside than 1e-9 * total, naming the first.
+    Refuses what ``_reals`` refuses, and NaN or a time further outside than
+    1e-9 * total, naming the first.
     """
-    times = np.asarray(t)
-    if times.dtype.kind == "O" and is_real_type(type(t)):  # Fraction, or an int beyond 64 bits
-        times = np.asarray(require_real(t, "schedule time"))
-    if times.dtype.kind not in "iuf":
-        got = repr(t) if times.ndim == 0 else f"an array of {times.dtype}"
-        raise InputError(f"schedule times must be real numbers, got {got}")
-    times = np.asarray(times, dtype=float)
+    times = _reals(t, "schedule time")
     outside = ~((times >= -1e-9 * total) & (times <= total * (1 + 1e-9)))
     if outside.any():
         raise InputError(f"schedule evaluated at t={float(times[outside][0])} outside [0, {total}]")
@@ -362,6 +371,29 @@ def _apply_blocks(psi: np.ndarray, blocks: Sequence[np.ndarray], stage: int) -> 
     return psi.reshape(-1)
 
 
+def _schedule_values(schedule, times: np.ndarray) -> list[np.ndarray]:
+    """``schedule.value(times)`` as [Omega, Delta], each finite float64 of ``times``' shape or 0-d.
+
+    Called once per chunk of steps, on the two returned values.
+    """
+    got = schedule.value(times)
+    try:
+        omega, delta = got
+    except (TypeError, ValueError):
+        raise InputError(f"schedule value must return (Omega, Delta), got {type(got).__name__}") from None
+    out = []
+    for name, x in (("Omega", omega), ("Delta", delta)):
+        x = _reals(x, f"schedule {name} value")
+        if x.shape not in ((), times.shape):
+            raise InputError(
+                f"schedule {name} values must be one number or of shape {times.shape}, got shape {x.shape}"
+            )
+        if not np.isfinite(x).all():
+            raise InputError(f"schedule {name} values must be finite, got {x[~np.isfinite(x)].flat[0]}")
+        out.append(x)
+    return out
+
+
 def evolve(
     spec: HamiltonianSpec,
     schedule=None,
@@ -381,7 +413,8 @@ def evolve(
     ``schedule`` defaults to ``PulseSchedule()``; any other needs a finite
     positive real ``total_time`` and a ``value`` method, which is called once
     per chunk of steps with a 1-D float array of stage midpoints and returns
-    (Omega, Delta) as two arrays of that shape or two scalars.
+    (Omega, Delta) as two arrays of that shape or two scalars, all finite
+    reals; anything else raises InputError.
     """
     schedule = PulseSchedule() if schedule is None else schedule
     total, value = getattr(schedule, "total_time", None), getattr(schedule, "value", None)
@@ -428,7 +461,7 @@ def evolve(
         t0 = np.arange(begin, end) * h
         times = np.stack((t0 + 0.5 * d1, t0 + d1 + 0.5 * d2, t0 + d1 + d2 + 0.5 * d3), 1).ravel()
         durations = np.tile((d1, d2, d3), end - begin)
-        omega, delta = schedule.value(times)
+        omega, delta = _schedule_values(schedule, times)
         rot = _rotations(
             (math.pi * omega * durations)[:, None],
             np.multiply.outer(math.pi * delta, weights) * durations[:, None],

@@ -402,6 +402,18 @@ class TestSimulate:
         )
         assert result.exit_code == 3
 
+    def test_out_of_range_distance_exits_2(self, runner, tmp_path):
+        # G1's two atoms 1e300 um apart: r^6 overflows, so the vdW coupling has no float value.
+        graph, _ = load_builtin_layout("G1")
+        graph_path, layout_path = tmp_path / "g1.json", tmp_path / "far.json"
+        write_json(graph_path, graph_to_dict(graph))
+        write_json(layout_path, layout_doc({0: (0.0, 0.0), 1: (1e300, 0.0)}))
+        result = runner.invoke(
+            main, ["simulate", str(graph_path), str(layout_path), "--mode", "vdw", "-o", str(tmp_path / "d.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: pair distance 1e+300 um is out of range: c6 / r^6 is not a finite float\n"
+
     def test_vdw_cap_precedes_the_couplings(self, runner, tmp_path, monkeypatch):
         # vdW mode couples every pair; above the cap not one may be built.
         def no_coupling(*args):

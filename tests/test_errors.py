@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -176,6 +177,29 @@ def test_evolve_refuses_a_schedule_without_total_time_and_value(schedule):
         evolve(HamiltonianSpec(n=1), schedule, steps=2)
 
 
+# Each a value method that returns something other than (Omega, Delta) as two
+# finite reals or two arrays of the times' shape.
+BAD_VALUES = {
+    "one-float": lambda t: 1.0,
+    "none": lambda t: None,
+    "three": lambda t: (1.0, 0.0, 0.0),
+    "short-arrays": lambda t: (np.ones(len(t) - 1), np.zeros(len(t) - 1)),
+    "one-short-array": lambda t: (1.0, np.zeros(1)),
+    "str": lambda t: ("1", 0.0),
+    "bool": lambda t: (True, 0.0),
+    "np-bool-array": lambda t: (np.ones(len(t), dtype=bool), 0.0),
+    "complex": lambda t: (1.0, 1j),
+    "nan": lambda t: (math.nan, 0.0),
+    "inf-array": lambda t: (np.ones(len(t)), np.full(len(t), math.inf)),
+}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_evolve_refuses_a_schedule_value_that_is_not_two_finite_reals(value):
+    with pytest.raises(InputError, match="^schedule "):
+        evolve(HamiltonianSpec(n=2), SimpleNamespace(total_time=1.0, value=value), steps=2)
+
+
 def test_only_none_takes_the_default_schedule():
     spec = HamiltonianSpec(n=2, couplings=((0, 1, 20.0),))
     assert np.array_equal(evolve(spec, None, steps=40), evolve(spec, PulseSchedule(), steps=40))
@@ -205,6 +229,13 @@ def test_normalize_takes_ints_fractions_and_decimals():
 @pytest.mark.parametrize("distance", [True, np.bool_(True), "3", None, 1j, math.nan, math.inf], ids=repr)
 def test_pair_distance_takes_the_real_rule(distance):
     with pytest.raises(InputError, match="^pair distance must be a finite real number, got "):
+        pair_interaction(PhysicalParams(), distance)
+
+
+# Each finite and positive, but c6 / r^6 overflows or r^6 leaves the float range.
+@pytest.mark.parametrize("distance", [1e300, 1e60, 1e-60, 1e-52], ids=repr)
+def test_pair_distance_out_of_float_range_is_refused(distance):
+    with pytest.raises(InputError, match="^" + re.escape(f"pair distance {distance} um is out of range")):
         pair_interaction(PhysicalParams(), distance)
 
 
