@@ -372,10 +372,7 @@ def _apply_blocks(psi: np.ndarray, blocks: Sequence[np.ndarray], stage: int) -> 
 
 
 def _schedule_values(schedule, times: np.ndarray) -> list[np.ndarray]:
-    """``schedule.value(times)`` as [Omega, Delta], each finite float64 of ``times``' shape or 0-d.
-
-    Called once per chunk of steps, on the two returned values.
-    """
+    """``schedule.value(times)`` as [Omega, Delta], each finite float64 of ``times``' shape or 0-d."""
     got = schedule.value(times)
     try:
         omega, delta = got
