@@ -12,8 +12,10 @@ Four gadget kinds cover every integer cost function:
   negative coupling unit also lowers both endpoint targets by one.
 
 ``compile_qubo`` stitches these together into an ``AtomGraph``, whose one
-adjacency is a bitmask per atom; ``try_decode`` maps a measured atom
-configuration back to variable values by data-copy unanimity.
+adjacency is a bitmask per atom.  A graph is its atoms' roles and its edges:
+each variable's copies and each wire's descriptor are read off them, never
+declared.  ``try_decode`` maps a measured atom configuration back to
+variable values by data-copy unanimity.
 """
 
 from __future__ import annotations
@@ -123,26 +125,6 @@ def _checked_role(role: AtomRole) -> AtomRole:
     )
 
 
-def _checked_wire(w: WireDescriptor) -> WireDescriptor:
-    """``w`` with every integer field a Python int and a tuple of endpoints, or GraphError."""
-    if type(w) is not WireDescriptor:
-        raise GraphError(f"unknown wire descriptor {w!r}")
-    if not isinstance(w.parity, Parity):
-        raise GraphError(f"wire {w.wire!r} parity must be a Parity, got {w.parity!r}")
-    try:
-        i, j = w.endpoints
-    except (TypeError, ValueError) as exc:
-        raise GraphError(f"wire {w.wire!r} endpoints {w.endpoints!r} are not a pair") from exc
-    if type(w.endpoints) is tuple and type(w.wire) is type(i) is type(j) is type(w.length) is int:
-        return w
-    return WireDescriptor(
-        require_int(w.wire, "wire descriptor id", None, GraphError),
-        tuple(require_int(v, "wire endpoint", None, GraphError) for v in (i, j)),
-        w.parity,
-        require_int(w.length, "wire length", None, GraphError),
-    )
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -157,16 +139,16 @@ class AtomGraph:
     Atom ids are the indices 0..atom_count-1 in declaration order; measured
     bitstrings use the same order.  The adjacency is ``masks``: bit b of
     ``masks[a]`` is set when atoms a and b share an edge.  ``neighbors`` and
-    ``edges`` are read off the masks.  Construction validates the structural
-    invariants (offset attachment, chain contiguity, wire terminal adjacency,
-    copy non-adjacency) and raises :class:`GraphError` on violation.
+    ``edges`` are read off the masks, and so are ``var_copies`` and ``wires``
+    off the roles.  Construction validates the structural invariants (offset
+    attachment, chain contiguity, copy non-adjacency) and raises
+    :class:`GraphError` on violation.
     """
 
     def __init__(
         self,
         roles: Sequence[AtomRole],
         edges,
-        wires: Sequence[WireDescriptor] = (),
         source: QuboInstance | None = None,
         labels: Sequence[str] | None = None,
     ):
@@ -188,12 +170,13 @@ class AtomGraph:
             masks[b] |= 1 << a
         self.roles: tuple[AtomRole, ...] = roles
         self.masks: tuple[int, ...] = tuple(masks)
-        self.wires: tuple[WireDescriptor, ...] = tuple(_checked_wire(w) for w in wires)
         self.source = source
         if labels is None:
             self.labels: tuple[str, ...] = tuple(_default_label(r) for r in roles)
         else:
-            self.labels = tuple(str(s) for s in labels)
+            self.labels = tuple(labels)
+            if bad := [s for s in self.labels if not isinstance(s, str)]:
+                raise GraphError(f"atom labels must be strings, got {bad[0]!r}")
             if len(self.labels) != n_atoms:
                 raise GraphError("label count does not match atom count")
         if len(set(self.labels)) != n_atoms:
@@ -223,6 +206,39 @@ class AtomGraph:
         """Each edge once, as (a, b) with a < b."""
         return frozenset((a, b) for a, m in enumerate(self.masks) for b in _bits(m >> a << a))
 
+    @cached_property
+    def _copy_masks(self) -> dict[int, int]:
+        """Variable -> bitmask of its data copies."""
+        return {v: sum(1 << a for a in ids) for v, ids in self.var_copies.items()}
+
+    @cached_property
+    def wires(self) -> tuple[WireDescriptor, ...]:
+        """The coupling chains that join two variables, in wire-id order.
+
+        A chain is listed when its head touches every copy of exactly one
+        variable i and its tail every copy of exactly one variable j; a
+        one-atom chain must touch every copy of exactly two variables, taken
+        in ascending order.  Its length sets the parity.  Chains that end
+        elsewhere, such as the rerouted ones of G5P and G6P, are not listed.
+        """
+        chains: dict[int, dict[int, int]] = {}
+        for atom, role in enumerate(self.roles):
+            if isinstance(role, WireAtom):
+                chains.setdefault(role.wire, {})[role.chain_position] = atom
+
+        def touched(atom: int) -> tuple[int, ...]:
+            return tuple(v for v, m in self._copy_masks.items() if not m & ~self.masks[atom])
+
+        out = []
+        for wire, positions in sorted(chains.items()):
+            length = len(positions)
+            head, tail = touched(positions[1]), touched(positions[length])
+            ends = head if length == 1 else head + tail if len(head) == len(tail) == 1 else ()
+            if len(ends) == 2:
+                parity = Parity.ODD if length % 2 else Parity.EVEN
+                out.append(WireDescriptor(wire, ends, parity, length))
+        return tuple(out)
+
     def neighbors(self, atom: int) -> frozenset[int]:
         return frozenset(_bits(self.masks[atom]))
 
@@ -245,8 +261,7 @@ class AtomGraph:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
-        masks = self.masks
-        copy_masks = {v: sum(1 << a for a in ids) for v, ids in self.var_copies.items()}
+        masks, copy_masks = self.masks, self._copy_masks
         for v in range(self.n_vars):
             if v not in self.var_copies:
                 raise GraphError(f"variable {v} has no data copy")
@@ -299,37 +314,6 @@ class AtomGraph:
                         f"wire {wire_id} atoms at positions {p} and {p + 1} are not adjacent"
                     )
 
-        seen_ids = set()
-        for w in self.wires:
-            if w.wire in seen_ids:
-                raise GraphError(f"duplicate wire descriptor id {w.wire}")
-            seen_ids.add(w.wire)
-            positions = chains.get(w.wire)
-            if positions is None:
-                raise GraphError(f"wire descriptor {w.wire} has no atoms")
-            if chain_kinds[w.wire] is not WireAtom:
-                raise GraphError(f"wire descriptor {w.wire} points at a constraint chain")
-            if w.length != len(positions):
-                raise GraphError(
-                    f"wire {w.wire} declares length {w.length} but has {len(positions)} atoms"
-                )
-            if w.parity is Parity.EVEN and (w.length < 2 or w.length % 2):
-                raise GraphError(f"even wire {w.wire} must have positive even length")
-            if w.parity is Parity.ODD and (w.length < 1 or w.length % 2 == 0):
-                raise GraphError(f"odd wire {w.wire} must have positive odd length")
-            i, j = w.endpoints
-            for var in (i, j):
-                if var not in self.var_copies:
-                    raise GraphError(f"wire {w.wire} endpoint variable {var} has no copies")
-            if copy_masks[i] & ~masks[positions[1]]:
-                raise GraphError(
-                    f"wire {w.wire} head is not adjacent to every copy of variable {i}"
-                )
-            if copy_masks[j] & ~masks[positions[w.length]]:
-                raise GraphError(
-                    f"wire {w.wire} tail is not adjacent to every copy of variable {j}"
-                )
-
     # ------------------------------------------------------------------
     # Equality / serialisation
     # ------------------------------------------------------------------
@@ -340,16 +324,12 @@ class AtomGraph:
         return (
             self.roles == other.roles
             and self.masks == other.masks
-            and self.wires == other.wires
             and self.labels == other.labels
             and self.source == other.source
         )
 
     def __repr__(self) -> str:
-        return (
-            f"AtomGraph(atoms={self.atom_count}, edges={len(self.edges)}, "
-            f"wires={len(self.wires)}, vars={self.n_vars})"
-        )
+        return f"AtomGraph(atoms={self.atom_count}, edges={len(self.edges)}, vars={self.n_vars})"
 
 
 def _role_to_dict(role: AtomRole) -> dict:
@@ -382,45 +362,46 @@ def role_from_dict(data: Mapping) -> AtomRole:
     raise InputError(f"unknown atom role kind: {data!r}")
 
 
+def _variables_block(graph: AtomGraph) -> dict:
+    return {str(v + 1): list(ids) for v, ids in graph.var_copies.items()}
+
+
+def _wires_block(graph: AtomGraph) -> list:
+    return [
+        {"id": w.wire, "parity": w.parity.value, "i": i + 1, "j": j + 1, "length": w.length}
+        for w in graph.wires
+        for i, j in [w.endpoints]
+    ]
+
+
+def _same_json(a, b) -> bool:
+    """JSON equality that tells true from 1 and 1 from 1.0, ignoring the key order of objects."""
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return type(a) is type(b) and a == b
+
+
 def graph_to_dict(graph: AtomGraph) -> dict:
     """JSON-ready form; round-trips losslessly through ``graph_from_dict``.
 
     The ``variables`` block (variable -> data copy atom ids, 1-based keys)
-    is derived from the roles and ignored on input.
+    and the ``wires`` block (one entry per ``AtomGraph.wires`` descriptor,
+    1-based ``i`` and ``j``) are derived from the atoms and edges; on input
+    each may be omitted, and must equal the derived block when present.
     """
     return {
         "version": 1,
-        "variables": {str(v + 1): list(ids) for v, ids in graph.var_copies.items()},
+        "variables": _variables_block(graph),
         "atoms": [
             {"id": i, "label": graph.labels[i], "role": _role_to_dict(role)}
             for i, role in enumerate(graph.roles)
         ],
         "edges": [list(e) for e in sorted(graph.edges)],
-        "wires": [
-            {
-                "id": w.wire,
-                "parity": w.parity.value,
-                "i": w.endpoints[0] + 1,
-                "j": w.endpoints[1] + 1,
-                "length": w.length,
-            }
-            for w in graph.wires
-        ],
+        "wires": _wires_block(graph),
         "source": qubo_to_dict(graph.source) if graph.source is not None else None,
     }
-
-
-def wire_from_dict(data: Mapping) -> WireDescriptor:
-    """Parse one wire descriptor; endpoints are 1-based in this format."""
-    try:
-        return WireDescriptor(
-            wire=_int_field(data, "id"),
-            endpoints=(_int_field(data, "i", 1) - 1, _int_field(data, "j", 1) - 1),
-            parity=Parity(data["parity"]),
-            length=_int_field(data, "length"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed wire descriptor: {data!r}") from exc
 
 
 def graph_from_dict(data: Mapping) -> AtomGraph:
@@ -429,7 +410,6 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
     try:
         atoms = list(data["atoms"])
         edges = [tuple(e) for e in data.get("edges", [])]
-        wire_entries = list(data.get("wires", []))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
     for entry in atoms:
@@ -441,12 +421,15 @@ def graph_from_dict(data: Mapping) -> AtomGraph:
     ordered = sorted(atoms, key=lambda entry: entry["id"])
     roles = [role_from_dict(entry["role"]) for entry in ordered]
     labels = [entry.get("label", "") for entry in ordered]
-    if any(not lbl for lbl in labels):
+    if all(isinstance(lbl, str) for lbl in labels) and not all(labels):
         labels = None  # regenerate defaults rather than accept blanks
-    wires = [wire_from_dict(entry) for entry in wire_entries]
     source = data.get("source")
     q = qubo_from_dict(source) if source is not None else None
-    return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
+    graph = AtomGraph(roles, edges, source=q, labels=labels)
+    for key, derive in (("variables", _variables_block), ("wires", _wires_block)):
+        if key in data and not _same_json(data[key], derive(graph)):
+            raise InputError(f"the graph's {key!r} block does not match its atoms and edges; omit it to derive it")
+    return graph
 
 
 # ----------------------------------------------------------------------
@@ -544,23 +527,19 @@ def compile_qubo(
             for atom in add([Offset(var=v, offset_index=k) for k in range(1, target + 2)]):
                 edges.append((copies[v][0], atom))
 
-    wires: list[WireDescriptor] = []
-    for (i, j), weight in sorted(q.quadratic.items()):
-        parity, length = (
-            (Parity.EVEN, policy.even_atoms) if weight > 0 else (Parity.ODD, policy.odd_atoms)
-        )
-        for _ in range(abs(weight)):
-            # Even and odd units are the same chain; only the length differs.
-            wire_id = len(wires)
-            chain = add([WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1)])
-            edges.extend((atom - 1, atom) for atom in chain[1:])
-            for end, var in ((chain[0], i), (chain[-1], j)):
-                edges.extend((copy, end) for copy in copies[var])
-            wires.append(
-                WireDescriptor(wire=wire_id, endpoints=(i, j), parity=parity, length=length)
-            )
+    # Even and odd units are the same chain; only the length differs.
+    units = [
+        (i, j, policy.even_atoms if weight > 0 else policy.odd_atoms)
+        for (i, j), weight in sorted(q.quadratic.items())
+        for _ in range(abs(weight))
+    ]
+    for wire_id, (i, j, length) in enumerate(units):
+        chain = add([WireAtom(wire=wire_id, chain_position=p) for p in range(1, length + 1)])
+        edges.extend((atom - 1, atom) for atom in chain[1:])
+        for end, var in ((chain[0], i), (chain[-1], j)):
+            edges.extend((copy, end) for copy in copies[var])
 
-    return AtomGraph(roles, edges, wires=wires, source=q, labels=labels)
+    return AtomGraph(roles, edges, source=q, labels=labels)
 
 
 # ----------------------------------------------------------------------

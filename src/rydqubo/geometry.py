@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping
 
-from .compiler import AtomGraph, role_from_dict, wire_from_dict
+from .compiler import AtomGraph, role_from_dict
 from .errors import InputError, require_finite, require_int, require_real
 from .qubo import qubo_from_dict
 
@@ -268,8 +268,8 @@ def load_builtin_layout(name: str) -> tuple[AtomGraph, Layout]:
     """One of the bundled demonstration graphs with its coordinates.
 
     Edges are derived from the coordinates with the dataset's pinned edge
-    radius, then checked against the declared roles and wires by the graph
-    validator; the structural tests pin the exact expected edge sets.
+    radius, then checked against the declared roles by the graph validator;
+    the structural tests pin the exact expected edge sets.
     """
     data = _dataset()
     entry = data["graphs"][_canonical_name(name)]
@@ -289,7 +289,6 @@ def load_builtin_layout(name: str) -> tuple[AtomGraph, Layout]:
             d = math.dist(positions[a], positions[b])
             if d <= radius + 1e-9:
                 edges.add((a, b))
-    wires = [wire_from_dict(w) for w in entry.get("wires", [])]
     source = qubo_from_dict(entry["qubo"]) if entry.get("qubo") else None
-    graph = AtomGraph(roles, edges, wires=wires, source=source, labels=labels)
+    graph = AtomGraph(roles, edges, source=source, labels=labels)
     return graph, Layout(positions)

@@ -433,10 +433,14 @@ def evolve(
     h = total / steps
     d1, d2, d3 = _W1 * h, _W0 * h, _W1 * h
     # The interaction and the two half-stage durations are fixed,
-    # so both diagonal phase vectors are precomputed.
-    interaction = _interaction_energy(spec, classes)
-    u_half = np.exp(-1j * _TWO_PI * (d1 / 2.0) * interaction)
-    u_merged = np.exp(-1j * _TWO_PI * ((d1 + d2) / 2.0) * interaction)
+    # so both diagonal phase vectors are precomputed.  Finite couplings can
+    # still sum past the float range; that is refused before numpy warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        interaction = _interaction_energy(spec, classes)
+        phases = [-1j * _TWO_PI * (d / 2.0) * interaction for d in (d1, d1 + d2)]
+    if not all(np.isfinite(phase).all() for phase in phases):
+        raise InputError("the interaction energy or a stage's phase is not finite; the couplings are too large")
+    u_half, u_merged = (np.exp(phase, out=phase) for phase in phases)
 
     # Until something loads logging no handler exists to take the record, so
     # the package never loads it itself.

@@ -12,6 +12,8 @@ from click.testing import CliRunner
 from rydqubo.cli import main
 from rydqubo.compiler import AtomGraph, DataCopy, graph_from_dict, graph_to_dict, try_decode
 from rydqubo.geometry import load_builtin_layout
+from test_compiler import WIRE_BLOCK_CASES, structural_document
+from test_errors import BAD_WIRE_BLOCKS, bad_wire_document
 
 F3_DOC = {"n": 2, "linear": {"1": -2, "2": 1}, "quadratic": [{"i": 1, "j": 2, "w": 1}]}
 F4_DOC = {"n": 2, "linear": {"1": -2, "2": 1}, "quadratic": [{"i": 1, "j": 2, "w": -1}]}
@@ -24,6 +26,10 @@ F7_DOC = {
         {"i": 2, "j": 3, "w": -2},
     ],
 }
+
+# Graph documents whose wires block differs from the one their atoms and edges derive.
+WIRE_BLOCK_DOCUMENTS = {case: structural_document(case) for case in WIRE_BLOCK_CASES}
+WIRE_BLOCK_DOCUMENTS |= {case: bad_wire_document(case) for case in BAD_WIRE_BLOCKS}
 
 
 @pytest.fixture()
@@ -201,6 +207,36 @@ class TestCompile:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("case", WIRE_BLOCK_DOCUMENTS)
+    def test_mismatched_wires_block_exits_2(self, runner, tmp_path, case):
+        qubo, graph = tmp_path / "f3.json", tmp_path / "graph.json"
+        write_json(qubo, F3_DOC)
+        write_json(graph, WIRE_BLOCK_DOCUMENTS[case])
+        result = runner.invoke(main, ["certify", str(qubo), str(graph)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: the graph's 'wires' block does not match its atoms and edges; omit it to derive it\n"
+        )
+
+    def test_stale_variables_block_or_label_exits_2(self, runner, tmp_path):
+        qubo, graph = tmp_path / "f3.json", tmp_path / "graph.json"
+        write_json(qubo, F3_DOC)
+        assert runner.invoke(main, ["compile", str(qubo), "-o", str(graph)]).exit_code == 0
+        doc = json.loads(graph.read_text())
+        assert doc["variables"] == {"1": [0, 1], "2": [2]}
+        for key, bad in (("variables", {"1": [0, 3], "2": [2]}), ("variables", {"1": [0, 1]})):
+            write_json(graph, doc | {key: bad})
+            result = runner.invoke(main, ["certify", str(qubo), str(graph)])
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("error: the graph's 'variables' block") and result.output.count("\n") == 1
+        # A label that is not a JSON string, which had been read as its str().
+        for label in (["a"], True):
+            doc["atoms"][0]["label"] = label
+            write_json(graph, doc)
+            result = runner.invoke(main, ["certify", str(qubo), str(graph)])
+            assert result.exit_code == 2, result.output
+            assert result.output == f"error: atom labels must be strings, got {label!r}\n"
+
     def test_f4_passes(self, runner, tmp_path):
         qubo = tmp_path / "f4.json"
         write_json(qubo, F4_DOC)
@@ -254,7 +290,9 @@ class TestCertify:
         doc = json.loads(graph_path.read_text())
         assert [0, 2] in doc["edges"]
         doc["edges"] = [e for e in doc["edges"] if e != [0, 2]]
-        doc["wires"] = []
+        # The broken graph derives one of its two wires, so the compiled
+        # wires block no longer matches; the document omits it.
+        del doc["wires"]
         write_json(graph_path, doc)
         result = runner.invoke(main, ["certify", str(qubo), str(graph_path)])
         assert result.exit_code == 1
@@ -413,6 +451,11 @@ class TestSimulate:
         )
         assert result.exit_code == 2, result.output
         assert result.output == "error: pair distance 1e+300 um is out of range: c6 / r^6 is not a finite float\n"
+
+    def test_overflowing_interaction_exits_2(self, runner):
+        result = runner.invoke(main, ["simulate", "--builtin", "G7", "--u0", "1e308", "--steps", "10"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: the interaction energy") and result.output.count("\n") == 1
 
     def test_vdw_cap_precedes_the_couplings(self, runner, tmp_path, monkeypatch):
         # vdW mode couples every pair; above the cap not one may be built.

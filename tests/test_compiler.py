@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,6 @@ from rydqubo.compiler import (
     Offset,
     Parity,
     WireAtom,
-    WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
     graph_from_dict,
@@ -376,18 +376,23 @@ class TestGraphValidation:
             AtomGraph(roles, edges=[])
 
 
-# Two variables joined by one odd wire (atom 2) or one even wire (atoms 2, 3).
+# Two variables joined by one odd wire (atom 2) or one even wire (atoms 2, 3),
+# and the wires-block entry of each in a graph document.
 PAIR = [DataCopy(0, 1), DataCopy(1, 1)]
-ODD = WireDescriptor(wire=0, endpoints=(0, 1), parity=Parity.ODD, length=1)
-EVEN = WireDescriptor(wire=0, endpoints=(0, 1), parity=Parity.EVEN, length=2)
+ODD = {"id": 0, "parity": "odd", "i": 1, "j": 2, "length": 1}
+EVEN = {"id": 0, "parity": "even", "i": 1, "j": 2, "length": 2}
 ODD_ROLES, ODD_EDGES = PAIR + [WireAtom(0, 1)], [(0, 2), (1, 2)]
 EVEN_ROLES, EVEN_EDGES = PAIR + [WireAtom(0, 1), WireAtom(0, 2)], [(0, 2), (2, 3), (1, 3)]
+WIRES_DIFFER = "'wires' block does not match its atoms and edges"
 
 # (roles, edges, keyword arguments, message): one structural check each, for
-# the checks TestGraphValidation does not already make.
+# the checks TestGraphValidation does not already make.  A "wires" argument is
+# instead the wires block of the graph's document, which graph_from_dict
+# refuses unless it equals the block derived from the atoms and edges.
 STRUCTURAL_CASES = {
     "label-count": ([DataCopy(0, 1)], [], {"labels": ["a", "b"]}, "label count"),
     "label-repeat": (PAIR, [], {"labels": ["a", "a"]}, "unique"),
+    "label-type": (PAIR, [], {"labels": ["a", 1]}, "labels must be strings, got 1"),
     "chain-repeat": (
         [DataCopy(0, 1), WireAtom(0, 1), WireAtom(0, 1)],
         [(1, 2)],
@@ -397,25 +402,15 @@ STRUCTURAL_CASES = {
     "chain-kinds": (
         [DataCopy(0, 1), WireAtom(0, 1), AFConstraintAtom(0, 2)], [(1, 2)], {}, "mixes"
     ),
-    "wire-repeat": (ODD_ROLES, ODD_EDGES, {"wires": [ODD, ODD]}, "duplicate wire"),
-    "wire-no-atoms": ([DataCopy(0, 1)], [], {"wires": [ODD]}, "has no atoms"),
-    "wire-on-constraint": (
-        PAIR + [AFConstraintAtom(0, 1)], ODD_EDGES, {"wires": [ODD]}, "constraint chain"
-    ),
-    "wire-length": (
-        ODD_ROLES, ODD_EDGES, {"wires": [WireDescriptor(0, (0, 1), Parity.ODD, 3)]}, "declares"
-    ),
-    "even-wire-parity": (
-        ODD_ROLES, ODD_EDGES, {"wires": [WireDescriptor(0, (0, 1), Parity.EVEN, 1)]}, "even wire"
-    ),
-    "odd-wire-parity": (
-        EVEN_ROLES, EVEN_EDGES, {"wires": [WireDescriptor(0, (0, 1), Parity.ODD, 2)]}, "odd wire"
-    ),
-    "wire-endpoint": (
-        [DataCopy(0, 1), WireAtom(0, 1)], [(0, 1)], {"wires": [ODD]}, "has no copies"
-    ),
-    "wire-head": (EVEN_ROLES, EVEN_EDGES[1:], {"wires": [EVEN]}, "head"),
-    "wire-tail": (EVEN_ROLES, EVEN_EDGES[:2], {"wires": [EVEN]}, "tail"),
+    "wire-repeat": (ODD_ROLES, ODD_EDGES, {"wires": [ODD, ODD]}, WIRES_DIFFER),
+    "wire-no-atoms": ([DataCopy(0, 1)], [], {"wires": [ODD]}, WIRES_DIFFER),
+    "wire-on-constraint": (PAIR + [AFConstraintAtom(0, 1)], ODD_EDGES, {"wires": [ODD]}, WIRES_DIFFER),
+    "wire-length": (ODD_ROLES, ODD_EDGES, {"wires": [ODD | {"length": 3}]}, WIRES_DIFFER),
+    "even-wire-parity": (ODD_ROLES, ODD_EDGES, {"wires": [ODD | {"parity": "even"}]}, WIRES_DIFFER),
+    "odd-wire-parity": (EVEN_ROLES, EVEN_EDGES, {"wires": [EVEN | {"parity": "odd"}]}, WIRES_DIFFER),
+    "wire-endpoint": ([DataCopy(0, 1), WireAtom(0, 1)], [(0, 1)], {"wires": [ODD]}, WIRES_DIFFER),
+    "wire-head": (EVEN_ROLES, EVEN_EDGES[1:], {"wires": [EVEN]}, WIRES_DIFFER),
+    "wire-tail": (EVEN_ROLES, EVEN_EDGES[:2], {"wires": [EVEN]}, WIRES_DIFFER),
     "negative-copy": (PAIR + [DataCopy(-1, 1)], [], {}, "variable index must be an integer >= 0, got -1"),
     "negative-offset": ([DataCopy(0, 1), Offset(-1, 1)], [(0, 1)], {}, "of its variable"),
     "float-copy": ([DataCopy(0.5, 1)], [], {}, "variable index must be an integer >= 0, got 0.5"),
@@ -423,18 +418,31 @@ STRUCTURAL_CASES = {
     "bool-offset": ([DataCopy(0, 0), Offset(False, 0)], [(0, 1)], {}, "variable index must be an integer, got False"),
     "float-offset": ([DataCopy(0, 0), Offset(0.0, 0)], [(0, 1)], {}, "variable index must be an integer, got 0.0"),
 }
+WIRE_BLOCK_CASES = [case for case, (*_, kwargs, _) in STRUCTURAL_CASES.items() if "wires" in kwargs]
+
+
+def structural_document(case):
+    """The graph document of a STRUCTURAL_CASES row that declares a wires block."""
+    roles, edges, kwargs, _ = STRUCTURAL_CASES[case]
+    return graph_to_dict(AtomGraph(roles, edges)) | kwargs
 
 
 class TestStructuralChecks:
     def test_the_unbroken_graphs_build(self):
-        AtomGraph(ODD_ROLES, ODD_EDGES, wires=[ODD])
-        AtomGraph(EVEN_ROLES, EVEN_EDGES, wires=[EVEN])
+        for roles, edges, wire in ((ODD_ROLES, ODD_EDGES, ODD), (EVEN_ROLES, EVEN_EDGES, EVEN)):
+            doc = graph_to_dict(AtomGraph(roles, edges))
+            assert doc["wires"] == [wire]
+            assert graph_from_dict(doc) == AtomGraph(roles, edges)
 
     @pytest.mark.parametrize("case", STRUCTURAL_CASES)
     def test_check_raises(self, case):
         roles, edges, kwargs, message = STRUCTURAL_CASES[case]
-        with pytest.raises(GraphError, match=message):
-            AtomGraph(roles, edges, **kwargs)
+        if case in WIRE_BLOCK_CASES:
+            with pytest.raises(InputError, match=message):
+                graph_from_dict(structural_document(case))
+        else:
+            with pytest.raises(GraphError, match=message):
+                AtomGraph(roles, edges, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -476,13 +484,40 @@ def test_compiled_masks_match_their_edges(policy):
     for q in mask_equivalence_instances():
         g = compile_qubo(q, policy=policy)
         assert list(g.masks) == reference_masks(g.atom_count, g.edges)
-        public = AtomGraph(g.roles, g.edges, wires=g.wires, source=g.source, labels=g.labels)
+        public = AtomGraph(g.roles, g.edges, source=g.source, labels=g.labels)
         assert public == g and public.masks == g.masks and public.edges == g.edges
         assert graph_from_dict(graph_to_dict(g)) == g
         for atom in range(g.atom_count):
             assert g.neighbors(atom) == {b for a, b in g.edges if a == atom} | {
                 a for a, b in g.edges if b == atom
             }
+
+
+def seed_table(n):
+    """Ten n-variable instances drawn with random.Random(n): every linear and
+    pair coefficient uniform in [-2, 2], every pair present."""
+    rng = random.Random(n)
+    out = []
+    for _ in range(10):
+        linear = {i: rng.randint(-2, 2) for i in range(n)}
+        out.append(QuboInstance(n=n, linear=linear, quadratic={
+            (i, j): rng.randint(-2, 2) for i in range(n) for j in range(i + 1, n)
+        }))
+    return out
+
+
+@pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+def test_compiled_wires_are_one_per_coupling_unit(policy):
+    for n in range(2, 9):
+        for q in seed_table(n):
+            expected = [
+                (i, j, Parity.EVEN, policy.even_atoms) if w > 0 else (i, j, Parity.ODD, policy.odd_atoms)
+                for (i, j), w in sorted(q.quadratic.items())
+                for _ in range(abs(w))
+            ]
+            wires = compile_qubo(q, policy=policy).wires
+            assert [w.wire for w in wires] == list(range(len(expected)))
+            assert [(*w.endpoints, w.parity, w.length) for w in wires] == expected, q
 
 
 class TestGraphJson:
@@ -505,6 +540,43 @@ class TestGraphJson:
         g = AtomGraph([DataCopy(0, 1), DataCopy(0, 2)], edges=[])
         back = graph_from_dict(graph_to_dict(g))
         assert back == g
+
+    def test_derived_blocks_may_be_omitted(self):
+        g = compile_qubo(F7)
+        doc = graph_to_dict(g)
+        del doc["variables"], doc["wires"]
+        assert graph_from_dict(doc) == g
+
+    def test_derived_blocks_must_match(self):
+        doc = graph_to_dict(compile_qubo(F7))
+        reordered = doc | {"variables": dict(reversed(doc["variables"].items()))}
+        reordered["wires"] = [dict(reversed(w.items())) for w in doc["wires"]]
+        assert graph_from_dict(json.loads(json.dumps(reordered))) == compile_qubo(F7)
+        stale = [
+            ("variables", doc["variables"] | {"1": [0]}),
+            ("variables", doc["variables"] | {"1": [0, True]}),
+            ("variables", {}),
+            ("wires", doc["wires"][1:]),
+            ("wires", doc["wires"][::-1]),
+            ("wires", [w | {"length": float(w["length"])} for w in doc["wires"]]),
+            ("wires", None),
+        ]
+        for key, block in stale:
+            with pytest.raises(InputError, match=f"'{key}' block does not match"):
+                graph_from_dict(doc | {key: block})
+
+    def test_labels_must_be_strings(self):
+        doc = graph_to_dict(compile_qubo(F3))
+        for bad in (["a"], True, 0, None):
+            doc["atoms"][1]["label"] = bad
+            with pytest.raises(GraphError, match=re.escape(f"labels must be strings, got {bad!r}")):
+                graph_from_dict(doc)
+        # An absent or empty label makes every label the default.
+        defaults = AtomGraph(compile_qubo(F3).roles, compile_qubo(F3).edges).labels
+        doc["atoms"][1]["label"] = ""
+        assert graph_from_dict(doc).labels == defaults
+        del doc["atoms"][1]["label"]
+        assert graph_from_dict(doc).labels == defaults
 
     def test_malformed_ids_rejected(self):
         g = compile_qubo(F1)

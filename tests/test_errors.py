@@ -16,11 +16,10 @@ from rydqubo.compiler import (
     AtomGraph,
     DataCopy,
     Offset,
-    Parity,
     WireAtom,
-    WireDescriptor,
     WireLengthPolicy,
     compile_qubo,
+    graph_from_dict,
     graph_to_dict,
 )
 from rydqubo.errors import GraphError, InputError, require_finite, require_int, require_real
@@ -370,39 +369,42 @@ def test_numpy_role_fields_act_as_python_ints():
     assert json.loads(json.dumps(graph_to_dict(graph))) == graph_to_dict(AtomGraph(plain, [(0, 1)]))
 
 
-# The smallest graph a wire descriptor can describe: x1 and x2 joined by a one-atom odd chain.
+# The smallest graph with a wire, x1 and x2 joined by a one-atom odd chain,
+# and the wires-block entry its graph document derives.
 WIRE_ROLES = [DataCopy(0, 1), DataCopy(1, 1), WireAtom(0, 1)]
 WIRE_EDGES = [(0, 2), (1, 2)]
+WIRE_ENTRY = {"id": 0, "parity": "odd", "i": 1, "j": 2, "length": 1}
+
+# Wires blocks that differ from the derived one only in a field's JSON type or shape.
+BAD_WIRE_BLOCKS = {
+    "id-string": [WIRE_ENTRY | {"id": "0"}],
+    "j-float": [WIRE_ENTRY | {"j": 2.0}],
+    "i-bool": [WIRE_ENTRY | {"i": True}],
+    "length-float": [WIRE_ENTRY | {"length": 1.0}],
+    "j-missing": [{key: v for key, v in WIRE_ENTRY.items() if key != "j"}],
+    "i-pair": [WIRE_ENTRY | {"i": [1, 2]}],
+    "parity-case": [WIRE_ENTRY | {"parity": "ODD"}],
+    "entry-string": ["x"],
+}
 
 
-@pytest.mark.parametrize(
-    "wire, message",
-    [
-        (WireDescriptor("0", (0, 1), Parity.ODD, 1), "wire descriptor id must be an integer, got '0'"),
-        (WireDescriptor(0, (0, 1.0), Parity.ODD, 1), "wire endpoint must be an integer, got 1.0"),
-        (WireDescriptor(0, (True, 1), Parity.ODD, 1), "wire endpoint must be an integer, got True"),
-        (WireDescriptor(0, (0, 1), Parity.ODD, 1.0), "wire length must be an integer, got 1.0"),
-        (WireDescriptor(0, (0,), Parity.ODD, 1), r"wire 0 endpoints \(0,\) are not a pair"),
-        (WireDescriptor(0, 1, Parity.ODD, 1), "wire 0 endpoints 1 are not a pair"),
-        (WireDescriptor(0, (0, 1), "odd", 1), "wire 0 parity must be a Parity, got 'odd'"),
-        ("x", "unknown wire descriptor 'x'"),
-    ],
-    ids=repr,
-)
-def test_wire_fields_take_the_integer_rule(wire, message):
-    with pytest.raises(GraphError, match=f"^{message}$"):
-        AtomGraph(WIRE_ROLES, WIRE_EDGES, wires=[wire])
+def bad_wire_document(case):
+    return graph_to_dict(AtomGraph(WIRE_ROLES, WIRE_EDGES)) | {"wires": BAD_WIRE_BLOCKS[case]}
+
+
+@pytest.mark.parametrize("case", BAD_WIRE_BLOCKS)
+def test_wire_fields_take_the_integer_rule(case):
+    assert graph_to_dict(AtomGraph(WIRE_ROLES, WIRE_EDGES))["wires"] == [WIRE_ENTRY]
+    with pytest.raises(InputError, match="^the graph's 'wires' block does not match its atoms and edges"):
+        graph_from_dict(bad_wire_document(case))
 
 
 def test_numpy_wire_fields_act_as_python_ints():
-    plain = AtomGraph(WIRE_ROLES, WIRE_EDGES, wires=[WireDescriptor(0, (0, 1), Parity.ODD, 1)])
-    for wire in (
-        WireDescriptor(np.int64(0), (0, np.int64(1)), Parity.ODD, np.int64(1)),
-        WireDescriptor(np.uint8(0), [np.int32(0), 1], Parity.ODD, 1),
-    ):
-        graph = AtomGraph(WIRE_ROLES, WIRE_EDGES, wires=[wire])
-        assert graph == plain
-        (checked,) = graph.wires
-        assert type(checked.endpoints) is tuple
-        assert all(type(v) is int for v in (checked.wire, *checked.endpoints, checked.length))
-        assert json.loads(json.dumps(graph_to_dict(graph))) == graph_to_dict(plain)
+    roles = [DataCopy(np.int64(0), 1), DataCopy(np.int8(1), np.uint8(1)), WireAtom(np.int64(0), np.int32(1))]
+    graph = AtomGraph(roles, [(np.int64(0), np.uint8(2)), (1, np.int16(2))])
+    plain = AtomGraph(WIRE_ROLES, WIRE_EDGES)
+    assert graph == plain and graph.wires == plain.wires
+    (wire,) = graph.wires
+    assert type(wire.endpoints) is tuple
+    assert all(type(v) is int for v in (wire.wire, *wire.endpoints, wire.length))
+    assert json.loads(json.dumps(graph_to_dict(graph))) == graph_to_dict(plain)

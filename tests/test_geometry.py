@@ -1,10 +1,12 @@
 """Tests for blockade arithmetic, layout validation, bundled data, layout I/O."""
 
+import json
 import math
+from importlib import resources
 
 import pytest
 
-from rydqubo.compiler import AtomGraph, DataCopy
+from rydqubo.compiler import AtomGraph, DataCopy, graph_to_dict
 from rydqubo.errors import InputError
 from rydqubo.geometry import (
     Layout,
@@ -188,6 +190,15 @@ class TestBuiltinLayouts:
         graph, _ = load_builtin_layout("G7")
         lengths = sorted(w.length for w in graph.wires)
         assert lengths == [1, 1, 4, 4]
+
+    def test_derived_wires_match_the_dataset(self):
+        # The dataset still lists each graph's wire descriptors; the loader
+        # ignores them and the graph derives its own from atoms and edges.
+        dataset = json.loads((resources.files("rydqubo") / "data" / "layouts.json").read_text("utf-8"))
+        assert sorted(dataset["graphs"]) == sorted(EXPECTED_ATOM_COUNTS)
+        for name, entry in dataset["graphs"].items():
+            graph, _ = load_builtin_layout(name)
+            assert graph_to_dict(graph)["wires"] == entry.get("wires", []), name
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_ATOM_COUNTS))
     def test_all_layouts_validate_at_reference_parameters(self, name):

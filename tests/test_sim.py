@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -445,6 +446,21 @@ class TestEvolve:
         monkeypatch.setattr(sim, "_rotations", lambda a, b: np.full(b.shape + (2, 2), np.nan, dtype=complex))
         with pytest.raises(SimulationError, match="norm drifted to nan"):
             evolve(HamiltonianSpec(n=2), PulseSchedule(total_time=1.0), steps=3)
+
+    def test_overflowing_interaction_is_refused_before_numpy_warns(self):
+        # Every coupling is a finite real, but the energy of |111> sums past
+        # the float range, and so does the stage phase of the two-atom pair.
+        too_large = [
+            HamiltonianSpec(n=3, couplings=((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308))),
+            HamiltonianSpec(n=2, couplings=((0, 1, 1e308),)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in too_large:
+                with pytest.raises(InputError, match="^the interaction energy or a stage's phase is not finite"):
+                    evolve(spec, steps=2)
+            state = evolve(HamiltonianSpec(n=2, couplings=((0, 1, 1e300),)), steps=2)
+        assert np.isfinite(state).all()
 
     def test_cap(self):
         spec = HamiltonianSpec(n=3)

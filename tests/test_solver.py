@@ -325,15 +325,12 @@ class TestCertify:
     def test_mutated_graph_fails_with_counterexample(self):
         # The compiled LINK constraint is a four-cycle; deleting one
         # wire-terminal edge lets a spurious assignment reach the ground
-        # energy.  (Descriptors are dropped: the mutation breaks their
-        # adjacency contract by construction.)
+        # energy.
         q = QuboInstance(n=2, linear={0: 1, 1: 1}, quadratic={(0, 1): -2})
         g = compile_qubo(q)
         removed = (0, 2)
         assert removed in g.edges
-        broken = AtomGraph(
-            g.roles, g.edges - {removed}, wires=(), source=g.source, labels=g.labels
-        )
+        broken = AtomGraph(g.roles, g.edges - {removed}, source=g.source, labels=g.labels)
         report = certify_equivalence(q, broken)
         assert not report.passed
         assert (1, 0) in report.spurious
