@@ -160,8 +160,11 @@ class AtomGraph:
                 a, b = edge
             except (TypeError, ValueError) as exc:
                 raise GraphError(f"edge {edge!r} is not a pair") from exc
-            a = require_int(a, "edge endpoint", None, GraphError)
-            b = require_int(b, "edge endpoint", None, GraphError)
+            # Compiled graphs pass plain ints; only other endpoints take the full check.
+            if type(a) is not int:
+                a = require_int(a, "edge endpoint", None, GraphError)
+            if type(b) is not int:
+                b = require_int(b, "edge endpoint", None, GraphError)
             if a == b:
                 raise GraphError(f"self-loop on atom {a}")
             if not (0 <= a < n_atoms and 0 <= b < n_atoms):

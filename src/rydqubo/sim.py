@@ -24,7 +24,7 @@ psi(bits) = psi_red(m) / sqrt(prod_c C(k_c, m_c)).  When no atom has a twin
 the reduced basis is the bitstring basis and the expansion is the identity.
 
 The rotations are applied block by block: the class axes are split into
-near-equal blocks of at most five atoms, so of dimension at most 32, and
+near-equal blocks of at most four atoms, so of dimension at most 16, and
 each block's Kronecker product of class rotations acts as one matrix
 product on the state viewed as a (dim, rest) matrix.  Each product also
 cycles the block's axes to the end, so after the last block the state is
@@ -36,7 +36,8 @@ multiplies; a chunk stores at most ``_CHUNK_ENTRIES`` complex entries.
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
-in atom order.
+in atom order.  A measured distribution keeps its probabilities as one array
+in index order and formats a bitstring only when a reader asks for it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, pairwise, product
+from itertools import accumulate, pairwise
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -130,10 +131,14 @@ class PulseSchedule:
         up = self.t1 * total
         down = self.t2 * total
         ramp, hold = t < up, t <= down
-        omega = np.where(ramp, self.omega0 * t / up, np.where(
-            hold, self.omega0, self.omega0 * (total - t) / (total - down)))
-        delta = np.where(ramp, self.delta_i, np.where(
-            hold, self.delta_i + (self.delta_f - self.delta_i) * (t - up) / (down - up), self.delta_f))
+        # np.where evaluates every segment at every time, so a huge finite
+        # value can overflow in a segment it does not select; a selected
+        # overflow is refused by evolve.
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = np.where(ramp, self.omega0 * t / up, np.where(
+                hold, self.omega0, self.omega0 * (total - t) / (total - down)))
+            delta = np.where(ramp, self.delta_i, np.where(
+                hold, self.delta_i + (self.delta_f - self.delta_i) * (t - up) / (down - up), self.delta_f))
         return (float(omega), float(delta)) if t.ndim == 0 else (omega, delta)
 
 
@@ -263,9 +268,14 @@ def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     For one atom over a stage of duration d, a = pi d Omega and
     b = pi d Delta w; ``a`` broadcasts against ``b``.  Each matrix is
-    symmetric.
+    symmetric.  Raises InputError if an angle is not finite; called under an
+    errstate that ignores overflow, it does so before numpy warns.
     """
     phi = np.hypot(a, b)
+    if not np.isfinite(phi).all():
+        raise InputError(
+            "a stage's rotation angle is not finite; Omega, Delta or the sweep time is too large"
+        )
     s = np.divide(np.sin(phi), phi, out=np.ones_like(phi), where=phi != 0)
     c = np.cos(phi)
     phase = np.cos(b) + 1j * np.sin(b)
@@ -303,20 +313,22 @@ def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_split(sizes: Sequence[int]) -> list[int]:
-    """Near-equal split of consecutive classes into blocks of at most five atoms.
+    """Near-equal split of consecutive classes into blocks of at most four atoms.
 
     ``sizes`` holds each class's atom count; returns the number of classes
     per block.  Each block takes classes while its atoms stay within the
-    remaining atoms' equal share of the ceil(atoms/5) blocks they need; a
-    class of more than five atoms is a block of its own.  A class of k atoms
+    remaining atoms' equal share of the ceil(atoms/4) blocks they need; a
+    class of more than four atoms is a block of its own.  A class of k atoms
     is an axis of dimension k+1 <= 2^k, so every other block has dimension
-    at most 32.  One-atom classes split like atoms, larger blocks first.
+    at most 16.  One-atom classes split like atoms, larger blocks first.
+    Products of dimension 24 to 32 cost more in flops than they save in
+    calls.
     """
     split: list[int] = []
     rest = list(sizes)
     while rest:
         atoms = sum(rest)
-        blocks = -(-atoms // 5)
+        blocks = -(-atoms // 4)
         share = -(-atoms // blocks)
         count, taken = 1, rest[0]
         while count < len(rest) and taken + rest[count] <= share:
@@ -463,10 +475,12 @@ def evolve(
         times = np.stack((t0 + 0.5 * d1, t0 + d1 + 0.5 * d2, t0 + d1 + d2 + 0.5 * d3), 1).ravel()
         durations = np.tile((d1, d2, d3), end - begin)
         omega, delta = _schedule_values(schedule, times)
-        rot = _rotations(
-            (math.pi * omega * durations)[:, None],
-            np.multiply.outer(math.pi * delta, weights) * durations[:, None],
-        )
+        # Finite values can still overflow an angle, which _rotations refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rot = _rotations(
+                (math.pi * omega * durations)[:, None],
+                np.multiply.outer(math.pi * delta, weights) * durations[:, None],
+            )
         mats = [_symmetric_power(rot[:, c], k) for c, k in enumerate(sizes)]
         blocks = [_kron_stages(mats[a:b]) for a, b in bounds]
         for step in range(begin, end):
@@ -494,37 +508,51 @@ def evolve(
 # ----------------------------------------------------------------------
 
 
-@dataclass
+def _checked_labels(labels) -> tuple[str, ...] | None:
+    """``labels`` as a tuple, or None; refuses anything but a sequence of str."""
+    if labels is not None:
+        if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(isinstance(s, str) for s in labels):
+            raise InputError(f"atom_labels must be a sequence of str, got {labels!r}")
+        labels = tuple(labels)
+    return labels
+
+
+def _bitstrings(index: np.ndarray, width: int) -> list[str]:
+    """``format(i, f"0{width}b")`` for each i of ``index``, formatted in one numpy pass."""
+    digits = (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    return (digits.astype(np.uint32) + ord("0")).view(f"<U{width}").ravel().tolist()
+
+
 class StateDistribution:
     """Probability per measured bitstring.
 
     ``exact`` distinguishes Born probabilities from sampled frequencies.
     Probabilities are nonnegative reals summing to one within 1e-9; the
     outcomes are ranked on first read, so do not change the table after.
+    A distribution from ``measure_distribution`` holds one probability array
+    in index order and builds its ``probabilities`` table on first read.
     """
 
-    probabilities: dict[str, float]
-    exact: bool = True
-    shots: int | None = None
-    atom_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        table, labels = self.probabilities, self.atom_labels
+    def __init__(
+        self,
+        probabilities: Mapping[str, float],
+        exact: bool = True,
+        shots: int | None = None,
+        atom_labels: Sequence[str] | None = None,
+    ) -> None:
+        table = probabilities
         if not isinstance(table, Mapping) or not all(issubclass(t, str) for t in set(map(type, table))):
             raise InputError("probabilities must map bitstrings, as str, to probabilities")
-        if labels is not None:
-            if isinstance(labels, str) or not isinstance(labels, Sequence) or not all(isinstance(s, str) for s in labels):
-                raise InputError(f"atom_labels must be a sequence of str, got {labels!r}")
-            self.atom_labels = tuple(labels)
-        if not isinstance(self.exact, bool):
-            raise InputError(f"exact must be a bool, got {self.exact!r}")
-        if self.shots is not None:
-            self.shots = require_int(self.shots, "shots", 1)
-        values = table.values()
-        if not all(map(is_real_type, set(map(type, values)))):
+        self.atom_labels = _checked_labels(atom_labels)
+        if not isinstance(exact, bool):
+            raise InputError(f"exact must be a bool, got {exact!r}")
+        self.exact = exact
+        self.shots = None if shots is None else require_int(shots, "shots", 1)
+        if not all(map(is_real_type, set(map(type, table.values())))):
             raise InputError("probabilities must be real numbers")
+        keys = sorted(table)
         try:
-            probs = np.fromiter(values, float, len(values))
+            probs = np.fromiter((table[k] for k in keys), float, len(keys))
         except OverflowError:
             raise InputError("probabilities must be finite") from None
         if (probs < 0).any():
@@ -532,41 +560,78 @@ class StateDistribution:
         total = float(probs.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise InputError(f"probabilities sum to {total}, expected 1")
+        self.probabilities = table
+        # The outcomes in bitstring order: ``_outcomes`` lists them for a
+        # table; for a measured state they are every ``_width``-bit string in
+        # index order.  ``_values`` holds their probabilities as floats.
+        self._outcomes: list[str] | None = keys
+        self._width: int | None = None
+        self._values = probs
+
+    @classmethod
+    def _measured(cls, probs: np.ndarray, width: int, atom_labels: tuple[str, ...] | None):
+        """Born probabilities ``probs`` of the ``width``-bit strings in index order, already checked."""
+        dist = cls.__new__(cls)
+        dist.exact, dist.shots, dist.atom_labels = True, None, atom_labels
+        dist._outcomes, dist._width, dist._values = None, width, probs
+        return dist
 
     @functools.cached_property
-    def _ranking(self) -> list[tuple[str, float]]:
-        """Every outcome by falling probability, then by bitstring; taken once.
+    def probabilities(self) -> dict[str, float]:
+        """The table: bitstring -> probability, in index order for a measured state."""
+        return dict(zip(self._keys(np.arange(len(self._values))), self._values.tolist()))
+
+    def _fields(self) -> tuple:
+        return self.probabilities, self.exact, self.shots, self.atom_labels
+
+    def __eq__(self, other) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = "probabilities={!r}, exact={!r}, shots={!r}, atom_labels={!r}".format(*self._fields())
+        return f"StateDistribution({fields})"
+
+    def _keys(self, index: np.ndarray) -> list[str]:
+        """The bitstrings at positions ``index`` of the bitstring order."""
+        if self._outcomes is None:
+            return _bitstrings(index, self._width)
+        return [self._outcomes[i] for i in index.tolist()]
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """Every outcome's position by falling probability, then by bitstring; taken once.
 
         Probabilities are ranked rounded to 1e-12, so outcomes equal up to
         rounding noise (by a symmetry of the graph) order by bitstring.
         """
-        items = sorted(self.probabilities.items())
-        ranks = -np.round(np.fromiter((p for _, p in items), float, len(items)), 12)
-        return [items[i] for i in np.argsort(ranks, kind="stable").tolist()]
+        return np.argsort(-np.round(self._values, 12), kind="stable")
+
+    def _columns(self, k: int | None = None) -> tuple[list[str], list[float]]:
+        """Bitstrings and probabilities of the first ``k`` outcomes of the ranking (all when None)."""
+        index = self._order[:k]
+        return self._keys(index), self._values[index].tolist()
 
     def top(self, k: int = 1) -> list[tuple[str, float]]:
         """The k most probable bitstrings, ties broken lexicographically."""
-        return self._ranking[:require_int(k, "k", 0)]
+        return list(zip(*self._columns(require_int(k, "k", 0))))
 
     def modal(self) -> str:
-        return self._ranking[0][0]
+        return self._columns(1)[0][0]
 
     def to_csv(self) -> str:
         """Every outcome as a CSV row, by falling probability."""
-        lines = []
-        if self.atom_labels:
-            lines.append("# atom order: " + ",".join(self.atom_labels))
-        lines.append("bitstring,probability")
-        for bs, p in self._ranking:
-            lines.append(f"{bs},{p:.12g}")
-        return "\n".join(lines) + "\n"
+        head = "# atom order: " + ",".join(self.atom_labels) + "\n" if self.atom_labels else ""
+        keys, values = self._columns()
+        cells = [None] * (2 * len(keys))
+        cells[::2], cells[1::2] = keys, values
+        return head + "bitstring,probability\n" + ("%s,%.12g\n" * len(keys)) % tuple(cells)
 
     def to_dict(self) -> dict:
         return {
             "atom_order": list(self.atom_labels) if self.atom_labels else None,
             "exact": self.exact,
             "shots": self.shots,
-            "probabilities": dict(self._ranking),
+            "probabilities": dict(zip(*self._columns())),
         }
 
 
@@ -589,13 +654,11 @@ def measure_distribution(
     if not (abs(math.sqrt(total) - 1.0) <= _NORM_TOL):
         raise InputError(f"state is not normalised (norm {math.sqrt(total):.8f})")
     probs /= total
-    # Bitstrings in index order; a one-amplitude state reads "0" (zip stops
-    # at the shorter), as format(0, "b") does.
-    table = dict(zip(map("".join, product("01", repeat=max(n, 1))), probs.tolist()))
-    dist = StateDistribution(probabilities=table, exact=True, atom_labels=atom_labels)
-    if dist.atom_labels is not None and len(dist.atom_labels) != n:
+    labels = _checked_labels(atom_labels)
+    if labels is not None and len(labels) != n:
         raise InputError("atom label count does not match the state size")
-    return dist
+    # A one-amplitude state reads "0", as format(0, "b") does.
+    return StateDistribution._measured(probs, max(n, 1), labels)
 
 
 def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> StateDistribution:
@@ -607,12 +670,11 @@ def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> S
     shots, seed = require_int(shots, "shots", 1), require_int(seed, "seed", 0)
     if shots > _MAX_SHOTS:
         raise InputError(f"shots must be at most {_MAX_SHOTS}, got {shots}")
-    keys = sorted(dist.probabilities)
-    probs = np.array([dist.probabilities[k] for k in keys])
-    probs = probs / probs.sum()
+    probs = dist._values / dist._values.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
-    table = {k: c / shots for k, c in zip(keys, counts) if c}
+    drawn = np.flatnonzero(counts)
+    table = dict(zip(dist._keys(drawn), (counts[drawn] / shots).tolist()))
     return StateDistribution(
         probabilities=table, exact=False, shots=shots, atom_labels=dist.atom_labels
     )

@@ -457,6 +457,21 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: the interaction energy") and result.output.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args", [["--omega0", "1e308", "--steps", "10"], ["--delta-f", "1e308", "--u0", "1"], ["--time", "1e308"]]
+    )
+    def test_overflowing_schedule_exits_2_without_a_warning(self, args, tmp_path):
+        # Under -W error a numpy RuntimeWarning would end the run with a traceback.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-W", "error", "-m", "rydqubo.cli", "simulate", "--builtin", "G1", *args]
+        result = subprocess.run(
+            [*command, "-o", str(tmp_path / "d.csv")], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+        assert "RuntimeWarning" not in result.stderr and result.stdout == ""
+
     def test_vdw_cap_precedes_the_couplings(self, runner, tmp_path, monkeypatch):
         # vdW mode couples every pair; above the cap not one may be built.
         def no_coupling(*args):

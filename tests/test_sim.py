@@ -27,6 +27,7 @@ from rydqubo.sim import (
 )
 from rydqubo import sim
 from rydqubo.solver import enumerate_ground_configs
+from test_compiler import seed_table
 
 # Fewer steps than the production default keeps unit tests quick; the
 # acceptance suite runs the full 4000-step sweeps.
@@ -99,8 +100,8 @@ def reference_rotation(a, b):
 
 
 def block_sizes_reference(n):
-    """Near-equal split of n atoms into blocks of at most five, larger blocks first."""
-    count = -(-n // 5)
+    """Near-equal split of n atoms into blocks of at most four, larger blocks first."""
+    count = -(-n // 4)
     base, extra = divmod(n, count)
     return [base + 1] * extra + [base] * (count - extra)
 
@@ -462,6 +463,26 @@ class TestEvolve:
             state = evolve(HamiltonianSpec(n=2, couplings=((0, 1, 1e300),)), steps=2)
         assert np.isfinite(state).all()
 
+    def test_overflowing_schedule_is_refused_before_numpy_warns(self):
+        # Finite schedule values whose ramps or stage angles pass the float range.
+        spec = HamiltonianSpec(n=2, couplings=((0, 1, 1.0),))
+        too_large = [
+            (PulseSchedule(omega0=1e308), 10, "^a stage's rotation angle is not finite"),
+            (PulseSchedule(omega0=1e307, delta_i=1e307, delta_f=1e307), 1, "^a stage's rotation angle"),
+            (PulseSchedule(delta_f=1e308), 10, "^schedule Delta values must be finite"),
+            (PulseSchedule(total_time=1e308), 10, "^schedule Delta values must be finite"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for schedule, steps, message in too_large:
+                with pytest.raises(InputError, match=message):
+                    evolve(spec, schedule, steps=steps)
+            # The ramps overflow only in segments that np.where does not select.
+            omega, _ = PulseSchedule(omega0=1e308).value(np.linspace(0.0, 2.5, 11))
+            state = evolve(spec, PulseSchedule(omega0=1e300, delta_i=1e300, delta_f=1e300), steps=10)
+        assert np.isfinite(omega).all() and omega.max() == 1e308
+        assert np.isfinite(state).all()
+
     def test_cap(self):
         spec = HamiltonianSpec(n=3)
         with pytest.raises(CapExceeded):
@@ -505,15 +526,15 @@ class TestEvolve:
 
 class TestRotationKernel:
     def test_block_sizes(self):
-        # Classes of one atom split like atoms: near-equal blocks of at most five.
-        assert sim._block_split([1] * 15) == [5, 5, 5]
+        # Classes of one atom split like atoms: near-equal blocks of at most four.
+        assert sim._block_split([1] * 15) == [4, 4, 4, 3]
         assert sim._block_split([1] * 11) == [4, 4, 3]
         assert sim._block_split([1]) == [1]
         for n in range(1, 17):
             sizes = sim._block_split([1] * n)
             assert sizes == block_sizes_reference(n)
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
-            assert 2 ** max(sizes) <= 32
+            assert 2 ** max(sizes) <= 16
 
     def test_rotations_match_the_matrix_exponential(self):
         rng = np.random.default_rng(7)
@@ -682,7 +703,7 @@ class TestTwinClasses:
 
     def test_block_split_bounds_every_block(self):
         # G7: classes {0,1} and {13,14} around eleven single atoms.
-        assert sim._block_split([2] + [1] * 11 + [2]) == [4, 5, 4]  # dimensions 24, 32, 24
+        assert sim._block_split([2] + [1] * 11 + [2]) == [3, 4, 4, 2]  # dimensions 12, 16, 16, 6
         assert sim._block_split([3, 1, 1, 1]) == [1, 3]  # G4: dimensions 4, 8
         assert sim._block_split([40]) == [1]  # a class above the bound is a block of its own
         rng = np.random.default_rng(3)
@@ -690,12 +711,12 @@ class TestTwinClasses:
             sizes = list(rng.integers(1, 6, size=rng.integers(1, 12)))
             split = sim._block_split(sizes)
             assert sum(split) == len(sizes)
-            assert len(split) <= -(-sum(sizes) // 5) + len(sizes)
+            assert len(split) <= -(-sum(sizes) // 4) + len(sizes)
             start = 0
             for count in split:
                 block = sizes[start:start + count]
-                assert sum(block) <= 5 or count == 1
-                assert math.prod(k + 1 for k in block) <= 32
+                assert sum(block) <= 4 or count == 1
+                assert math.prod(k + 1 for k in block) <= 16
                 start += count
 
     @pytest.mark.parametrize("name", BUNDLED)
@@ -749,7 +770,7 @@ class TestTwinClasses:
             evolve(HamiltonianSpec(n=3), PulseSchedule(), steps=5)
         assert [r.getMessage() for r in caplog.records] == [
             "evolve: atoms=15 classes=13 twins=[[0, 1], [13, 14]] basis=18432 full=32768 "
-            "blocks=[24, 32, 24] steps=2",
+            "blocks=[12, 16, 16, 6] steps=2",
             "evolve: atoms=3 classes=1 twins=[[0, 1, 2]] basis=4 full=8 blocks=[4] steps=5",
         ]
 
@@ -871,6 +892,44 @@ class TestDistributions:
         dist.top(1), dist.top(3), dist.modal(), dist.to_csv(), dist.to_dict()
         assert len(sorts) == 1
         assert list(dist.probabilities.items()) == list(given.items())
+        sorts.clear()
+        measured = measure_distribution(np.sqrt([0.3, 0.3, 0.3, 0.1]))
+        measured.top(1), measured.top(3), measured.modal(), measured.to_csv(), measured.to_dict()
+        assert len(sorts) == 1
+        assert list(measured.probabilities) == ["00", "01", "10", "11"]
+        assert [bs for bs, _ in measured.top(4)] == ["00", "01", "10", "11"]
+
+    # The bundled graphs, and the first seed-table instances at n = 3 and 4
+    # that fit the atom cap.
+    @pytest.mark.parametrize("source", [*BUNDLED, (3, 0), (4, 2)], ids=str)
+    def test_measured_readout_matches_the_table(self, source):
+        # The array-backed distribution of a state against one built from its
+        # table, and against the ranking and CSV rows written out in Python.
+        if isinstance(source, str):
+            graph, _ = load_builtin_layout(source)
+        else:
+            graph = compile_qubo(seed_table(source[0])[source[1]])
+        n = graph.atom_count
+        dist = measure_distribution(evolve(build_hamiltonian(graph), steps=40), atom_labels=graph.labels)
+        assert list(dist.probabilities) == [format(i, f"0{n}b") for i in range(1 << n)]
+        table = StateDistribution(dict(dist.probabilities), atom_labels=graph.labels)
+        ranked = sorted(table.probabilities.items(), key=lambda kv: (-round(kv[1], 12), kv[0]))
+        rows = ["# atom order: " + ",".join(graph.labels), "bitstring,probability"]
+        rows += [f"{bs},{p:.12g}" for bs, p in ranked]
+        assert dist.to_csv() == table.to_csv() == "\n".join(rows) + "\n"
+        assert list(dist.to_dict()["probabilities"].items()) == ranked
+        assert dist.to_dict() == table.to_dict()
+        for k in (0, 1, 2, len(ranked)):
+            assert dist.top(k) == table.top(k) == ranked[:k]
+        assert dist.modal() == table.modal() == ranked[0][0]
+        predicate = af_predicate(graph)
+        assert postselect(dist, predicate) == postselect(table, predicate)
+        assert sample_distribution(dist, 50, seed=3) == sample_distribution(table, 50, seed=3)
+        # Shot counts drawn over the sorted bitstrings, written out with numpy.
+        keys = sorted(table.probabilities)
+        probs = np.array([table.probabilities[k] for k in keys])
+        counts = np.random.default_rng(3).multinomial(50, probs / probs.sum())
+        assert sample_distribution(dist, 50, seed=3).probabilities == {k: c / 50 for k, c in zip(keys, counts) if c}
 
     def test_symmetric_outcomes_rank_by_bitstring(self):
         # G1's two atoms are uncoupled twins, so 01 and 10 are equal up to
