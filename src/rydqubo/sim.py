@@ -23,16 +23,27 @@ U m_c m_d.  At the end the state is expanded to all 2^n bitstrings,
 psi(bits) = psi_red(m) / sqrt(prod_c C(k_c, m_c)).  When no atom has a twin
 the reduced basis is the bitstring basis and the expansion is the identity.
 
-The rotations are applied block by block: the class axes are split into
-near-equal blocks of at most four atoms, so of dimension at most 16, and
-each block's Kronecker product of class rotations acts as one matrix
-product on the state viewed as a (dim, rest) matrix.  Each product also
-cycles the block's axes to the end, so after the last block the state is
-back in class order without a transpose.  The sweep runs in chunks of
-steps.  Each chunk evaluates the schedule once, on the array of its stage
-midpoints, then builds one rotation per class and one Kronecker product per
-block for every stage in one vectorised pass, so the loop over stages only
-multiplies; a chunk stores at most ``_CHUNK_ENTRIES`` complex entries.
+Each atom's rotation factors as R = g diag(1, u) M diag(1, u), with g and u
+unit phases and M real orthogonal (see ``_rotation_factors``), so a class of
+k twins rotates by g^k diag(u^m) Sym_k(M) diag(u^m).  Between two stages
+the phase diagonals of both and the interaction phase merge into one complex
+diagonal, so each stage is one complex diagonal multiply followed by real
+block products.  The class axes are split into near-equal blocks of at most
+three atoms (dimension at most 8) when the swept state has more than 4,096
+amplitudes, and of at most four (dimension at most 16) otherwise; each
+block's Kronecker product of real class factors acts as one real matrix
+product on the state viewed as float64.  Each product also cycles the
+block's axes to the end, and the last block also spans the real and
+imaginary axis (a lone block has it as its rest), so after it the state is
+back in class order and views as complex without a copy.  Real blocks do
+half the flops of complex ones; the changed order of floating-point sums
+moves CSV probabilities in about the 12th significant digit.  The sweep
+runs in chunks of steps.  Each chunk evaluates the schedule once, on the
+array of its stage midpoints, then builds the rotation factors, one real
+product per block and two phase factors per stage in one vectorised pass;
+it stores at most ``_CHUNK_BYTES``.  The stage diagonals are built from the
+phase factors a few steps at a time, so the loop over stages only
+multiplies.
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
@@ -59,9 +70,16 @@ from .geometry import Layout, PhysicalParams, pair_interaction
 
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
-# Steps are swept in chunks whose stored blocks hold at most this many complex
-# entries (4 MiB), whatever the step count.
-_CHUNK_ENTRIES = 1 << 18
+# Steps are swept in chunks whose stored blocks and phase factors take at
+# most this many bytes (4 MiB), whatever the step count.
+_CHUNK_BYTES = 1 << 22
+# A chunk builds its stage diagonals in batches of whole steps that take at
+# most this many bytes, at least one step, so that a batch stays in cache
+# until the sweep reads it.
+_BATCH_BYTES = 1 << 20
+# A state of more amplitudes than this is swept in blocks of at most three
+# atoms, a smaller one in blocks of at most four.
+_SMALL_STATE = 4096
 _TWO_PI = 2.0 * math.pi
 # Largest drift of a state's norm from 1 that evolve and measure accept.
 _NORM_TOL = 1e-6
@@ -263,13 +281,25 @@ def _interaction_energy(spec: HamiltonianSpec, classes: Sequence[Sequence[int]])
     return interaction
 
 
-def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(-i (a sx - 2 b n)) for each entry of ``b``, shape b.shape + (2, 2).
+def _rotation_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors g, u and M of R = exp(-i (a sx - 2 b n)) for each entry of ``b``.
 
     For one atom over a stage of duration d, a = pi d Omega and
-    b = pi d Delta w; ``a`` broadcasts against ``b``.  Each matrix is
-    symmetric.  Raises InputError if an angle is not finite; called under an
-    errstate that ignores overflow, it does so before numpy warns.
+    b = pi d Delta w; ``a`` broadcasts against ``b``.  With phi = hypot(a, b),
+    s = sin(phi)/phi and c = cos(phi), R = e^{ib} [[z, -i x], [-i x, z*]]
+    where z = c - i b s and x = a s.  Let r = |z| and e = z/r (e = 1 when
+    r = 0).  Then
+
+        R = g diag(1, u) M diag(1, u),  g = e^{ib} e,  u = -i e*,
+        M = [[r, x], [x, -r]],
+
+    and M is real symmetric with M M = I, since r^2 + x^2 = c^2 + phi^2 s^2 = 1.
+    On the normalised Dicke states of k twins, Sym_k(R) =
+    g^k diag(u^m) Sym_k(M) diag(u^m), with m the excited atoms and Sym_k(M)
+    real.  Returns g and u, complex of ``b``'s shape with |g| = |u| = 1, and
+    M, real of shape b.shape + (2, 2).  Raises InputError if an angle is not
+    finite; called under an errstate that ignores overflow, it does so
+    before numpy warns.
     """
     phi = np.hypot(a, b)
     if not np.isfinite(phi).all():
@@ -278,29 +308,35 @@ def _rotations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     s = np.divide(np.sin(phi), phi, out=np.ones_like(phi), where=phi != 0)
     c = np.cos(phi)
-    phase = np.cos(b) + 1j * np.sin(b)
-    rot = np.empty(phi.shape + (2, 2), dtype=np.complex128)
-    rot[..., 0, 0] = phase * (c - 1j * (b * s))
-    rot[..., 0, 1] = rot[..., 1, 0] = phase * (-1j * (a * s))
-    rot[..., 1, 1] = phase * (c + 1j * (b * s))
-    return rot
+    bs = b * s
+    r = np.hypot(c, bs)
+    # e = z / r, as its real and imaginary parts.
+    e_re = np.divide(c, r, out=np.ones_like(r), where=r != 0)
+    e_im = np.divide(-bs, r, out=np.zeros_like(r), where=r != 0)
+    g = (np.cos(b) + 1j * np.sin(b)) * (e_re + 1j * e_im)
+    u = -e_im - 1j * e_re
+    m = np.empty(phi.shape + (2, 2))
+    m[..., 0, 0] = r
+    m[..., 0, 1] = m[..., 1, 0] = a * s
+    m[..., 1, 1] = -r
+    return g, u, m
 
 
 def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
     """R^(x)k on the normalised Dicke states of k atoms, per stage.
 
     ``rot`` has shape (stages, 2, 2) and is symmetric; the result has shape
-    (stages, k+1, k+1) and is symmetric too.  Each of the k-j ground atoms of
-    a state with j excited atoms goes to r00 + r10 t and each excited atom
-    to r01 + r11 t, t marking an excited atom, so entry (i, j) is
-    sqrt(C(k,j)/C(k,i)) times the coefficient of t^i in
+    (stages, k+1, k+1), is symmetric too and has ``rot``'s dtype.  Each of
+    the k-j ground atoms of a state with j excited atoms goes to r00 + r10 t
+    and each excited atom to r01 + r11 t, t marking an excited atom, so entry
+    (i, j) is sqrt(C(k,j)/C(k,i)) times the coefficient of t^i in
     (r00 + r10 t)^(k-j) (r01 + r11 t)^j.
     """
     # poly[i, j] is the t^i coefficient of column j's product so far, per
     # stage (the last axis, so every pass runs over contiguous stages).
     # Factor f of column j is column 1 of R, an excited atom, if f < j.
     columns = rot.transpose(1, 2, 0)
-    poly = np.zeros((k + 1, k + 1, len(rot)), dtype=np.complex128)
+    poly = np.zeros((k + 1, k + 1, len(rot)), dtype=rot.dtype)
     poly[0] = 1.0
     for f in range(k):
         low, high = columns[:, (np.arange(k + 1) > f).astype(np.intp)]
@@ -313,22 +349,27 @@ def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_split(sizes: Sequence[int]) -> list[int]:
-    """Near-equal split of consecutive classes into blocks of at most four atoms.
+    """Near-equal split of consecutive classes into blocks of at most three or four atoms.
 
     ``sizes`` holds each class's atom count; returns the number of classes
-    per block.  Each block takes classes while its atoms stay within the
-    remaining atoms' equal share of the ceil(atoms/4) blocks they need; a
-    class of more than four atoms is a block of its own.  A class of k atoms
-    is an axis of dimension k+1 <= 2^k, so every other block has dimension
-    at most 16.  One-atom classes split like atoms, larger blocks first.
-    Products of dimension 24 to 32 cost more in flops than they save in
-    calls.
+    per block.  A state of more than ``_SMALL_STATE`` amplitudes, the product
+    of the class dimensions, takes blocks of at most three atoms, so of
+    dimension at most 8; a smaller one takes blocks of at most four, so of
+    dimension at most 16, because it gains more from fewer products than
+    from smaller ones.  Each block takes classes while its atoms stay within
+    the remaining atoms' equal share of the blocks they need; a class of
+    more atoms than the bound is a block of its own.  A class of k atoms is
+    an axis of dimension k+1 <= 2^k.  One-atom classes split like atoms,
+    larger blocks first, so that for them the last block, which also spans
+    the real and imaginary axis and so costs like a complex block, is the
+    smallest.
     """
+    bound = 3 if math.prod(k + 1 for k in sizes) > _SMALL_STATE else 4
     split: list[int] = []
     rest = list(sizes)
     while rest:
         atoms = sum(rest)
-        blocks = -(-atoms // 4)
+        blocks = -(-atoms // bound)
         share = -(-atoms // blocks)
         count, taken = 1, rest[0]
         while count < len(rest) and taken + rest[count] <= share:
@@ -353,6 +394,46 @@ def _kron_stages(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _times_identity(block: np.ndarray) -> np.ndarray:
+    """block[s] (x) I_2 for every stage s: the last block, spanning the real and imaginary axis."""
+    stages, dim = block.shape[:2]
+    out = np.zeros((stages, dim, 2, dim, 2))
+    out[:, :, 0, :, 0] = out[:, :, 1, :, 1] = block
+    return out.reshape(stages, 2 * dim, 2 * dim)
+
+
+def _phase_factors(
+    scale: np.ndarray, ratio: np.ndarray, sizes: Sequence[int], half: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real factors of the diagonal scale[s] prod_c ratio[s, c]^m_c, per stage.
+
+    ``scale`` has shape (stages,) and ``ratio`` (stages, classes), class c
+    having ``sizes[c]`` atoms.  Classes before ``half`` fold into a complex
+    ``lead`` and the others into ``trail``, so the diagonal is their outer
+    product, in the state's order.  Returns it as the real matrix product
+    ``left @ right``: ``left[s, i]`` = (Re, Im) of lead[s, i] and
+    ``right[s]`` holds trail[s] and i trail[s], each as interleaved real and
+    imaginary parts, so the product views as the complex diagonal.  A
+    matrix product writes it faster than a broadcast complex product.
+    """
+    stages = len(scale)
+    factors = [scale[:, None]]
+    for c, k in enumerate(sizes):
+        powers = np.empty((stages, k + 1), dtype=np.complex128)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = ratio[:, c, None]
+        factors.append(np.cumprod(powers, axis=1, out=powers))
+    lead, trail = factors[:half + 1], [np.ones((stages, 1), dtype=np.complex128)] + factors[half + 1:]
+    for part in (lead, trail):
+        while len(part) > 1:
+            low = part.pop()
+            part[-1] = (part[-1][:, :, None] * low[:, None, :]).reshape(stages, -1)
+    lead, trail = lead[0], trail[0]
+    left = np.stack((lead.real, lead.imag), axis=2)
+    right = np.stack((trail.view(np.float64), (1j * trail).view(np.float64)), axis=1)
+    return left, right
+
+
 def _expand(psi: np.ndarray, classes: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """The 2^n bitstring amplitudes of a state on the class axes.
 
@@ -369,18 +450,49 @@ def _expand(psi: np.ndarray, classes: Sequence[Sequence[int]], n: int) -> np.nda
     return (psi * scale)[index]
 
 
-def _apply_blocks(psi: np.ndarray, blocks: Sequence[np.ndarray], stage: int) -> np.ndarray:
-    """Product of per-class symmetric rotations; returns the new state.
+def _block_views(work: np.ndarray, dims: Sequence[int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Source and target views of every block product, for a state in ``work[0]`` and in ``work[1]``.
 
-    ``blocks[k][stage]`` is the Kronecker product of the rotations of block
-    k's classes.  With the block's axes leading,
-    ``psi.reshape(dim, -1).T @ block`` applies it (the product is symmetric)
-    and moves those axes to the end.  The blocks cover every class axis, so
-    after the last block the axes are back in order.
+    ``work`` is float64 of shape (2, 2 * basis); ``dims`` holds each stored
+    block's dimension.  A state is the complex view of one row, so its last
+    axis holds the real and imaginary parts.  With a block's axes leading,
+    ``source @ block`` with ``source = x.reshape(dim, -1).T`` applies it and
+    writes its axes last, into the other row.  Once every other block has
+    moved, the last block's axes lead and the real and imaginary axis
+    follows them, so the last block is stored times I_2, of twice its
+    dimension, and spans that axis too; a lone block is stored as it is.
+    After the last block the axes are back in class order with the real and
+    imaginary parts interleaved, in row ``(p + len(dims)) % 2`` for a state
+    that started in row p.
     """
-    for block in blocks:
-        psi = psi.reshape(block.shape[1], -1).T @ block[stage]
-    return psi.reshape(-1)
+    if len(dims) == 1:
+        # A lone block's axes lead and the real and imaginary axis is all
+        # the rest, so the block acts on it as it is, from either side.
+        return [[(work[p].reshape(dims[0], 2).T, work[1 - p].reshape(dims[0], 2).T)] for p in (0, 1)]
+    return [
+        [
+            (work[(p + k) % 2].reshape(dim, -1).T, work[(p + k + 1) % 2].reshape(-1, dim))
+            for k, dim in enumerate(dims)
+        ]
+        for p in (0, 1)
+    ]
+
+
+def _apply_stage(
+    state: np.ndarray, diagonal: np.ndarray, blocks: Sequence[np.ndarray], stage: int,
+    views: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """One stage: ``state *= diagonal``, then the real block products of ``stage``.
+
+    ``blocks[k][stage]`` is the Kronecker product of the real factors
+    Sym_k(M) of block k's classes, real symmetric, so ``source @ block``
+    applies it.  ``state`` is the complex view of the row of ``work`` that
+    ``views``, one parity's entry of ``_block_views(work, ...)``, starts
+    from; the result is in the row that they end in.
+    """
+    state *= diagonal
+    for block, (source, target) in zip(blocks, views):
+        np.matmul(source, block[stage], out=target)
 
 
 def _schedule_values(schedule, times: np.ndarray) -> list[np.ndarray]:
@@ -433,26 +545,44 @@ def evolve(
     _check_cap(n, cap)
     steps = require_int(steps, "steps", 1)
 
-    # Twins share one class axis; a block's rotation is its classes' Kronecker product.
+    # Twins share one class axis; a block's real factor is its classes' Kronecker product.
     classes = _twin_classes(spec)
     sizes = [len(members) for members in classes]
     weights = np.array([spec.detuning_weights[members[0]] for members in classes])
     bounds = list(pairwise(accumulate(_block_split(sizes), initial=0)))
     block_dims = [math.prod(k + 1 for k in sizes[a:b]) for a, b in bounds]
-    # Three stages per step.
-    chunk = max(1, _CHUNK_ENTRIES // (3 * sum(dim**2 for dim in block_dims)))
+    dims = [k + 1 for k in sizes]
+    basis = math.prod(dims)
+    # A stage's diagonal is the outer product of two factors of about the
+    # square root of the basis: the leading classes, up to ``half``, and the
+    # rest.
+    half = next(c for c in range(len(dims) + 1) if math.prod(dims[:c]) ** 2 >= basis)
+    # The last block is stored times I_2 to span the real and imaginary axis,
+    # unless it is the only block (see _block_views).
+    spans = len(block_dims) > 1
+    stored = block_dims[:-1] + [2 * block_dims[-1] if spans else block_dims[-1]]
+    # Three stages per step.  A stage stores its blocks and its two real
+    # phase factors (see _phase_factors) as float64.
+    stage_bytes = 8 * sum(dim**2 for dim in stored)
+    stage_bytes += 16 * math.prod(dims[:half]) + 32 * math.prod(dims[half:])
+    chunk = max(1, _CHUNK_BYTES // (3 * stage_bytes))
+    batch = max(1, _BATCH_BYTES // (3 * 16 * basis))
 
     h = total / steps
     d1, d2, d3 = _W1 * h, _W0 * h, _W1 * h
-    # The interaction and the two half-stage durations are fixed,
-    # so both diagonal phase vectors are precomputed.  Finite couplings can
-    # still sum past the float range; that is refused before numpy warns.
+    # The interaction and the stage durations are fixed, so the interaction
+    # phases are precomputed: half a first stage, the middle of a step
+    # (d1 + d2)/2 = (d2 + d3)/2, and a step boundary d3/2 + d1/2 = d1.
+    # Finite couplings can still sum past the float range; that is refused
+    # before numpy warns.
     with np.errstate(over="ignore", invalid="ignore"):
         interaction = _interaction_energy(spec, classes)
-        phases = [-1j * _TWO_PI * (d / 2.0) * interaction for d in (d1, d1 + d2)]
+        phases = [-1j * _TWO_PI * (d / 2.0) * interaction for d in (d1, d1 + d2, 2.0 * d1)]
     if not all(np.isfinite(phase).all() for phase in phases):
         raise InputError("the interaction energy or a stage's phase is not finite; the couplings are too large")
-    u_half, u_merged = (np.exp(phase, out=phase) for phase in phases)
+    u_half, u_merged, u_step = (np.exp(phase, out=phase) for phase in phases)
+    # The sweep opens with u_half, but on |0...0> that equals u_step: both are 1.
+    step_phases = np.stack((u_step, u_merged, u_merged))
 
     # Until something loads logging no handler exists to take the record, so
     # the package never loads it itself.
@@ -460,13 +590,24 @@ def evolve(
     if logging is not None:
         logging.getLogger("rydqubo").debug(
             "evolve: atoms=%d classes=%d twins=%s basis=%d full=%d blocks=%s steps=%d",
-            n, len(classes), [c for c in classes if len(c) > 1], len(interaction), 1 << n,
+            n, len(classes), [c for c in classes if len(c) > 1], basis, 1 << n,
             block_dims, steps,
         )
 
-    psi = np.zeros(len(interaction), dtype=np.complex128)
-    psi[0] = 1.0
-
+    # The state lives in one row of ``work`` and each stage's products end
+    # in the other row when the block count is odd.
+    work = np.zeros((2, 2 * basis))
+    states = list(work.view(np.complex128))
+    views = _block_views(work, stored)
+    flip, row = len(block_dims) % 2, 0
+    states[0][0] = 1.0
+    buffer = np.empty((3 * min(batch, steps), basis), dtype=np.complex128)
+    # Stage s's rotation is G_s D_s K_s D_s: G_s = prod_c g_c^k_c a scalar,
+    # D_s = prod_c u_c^m_c a diagonal and K_s the real blocks.  Between two
+    # stages D, the interaction phase and D of the next stage merge into one
+    # diagonal, which also takes the next stage's G; ``last_u`` holds the
+    # previous stage's u per class, and the sweep closes with its D.
+    last_u = np.ones(len(sizes), dtype=np.complex128)
     check_every = max(1, steps // 40)
     for begin in range(0, steps, chunk):
         end = min(begin + chunk, steps)
@@ -475,31 +616,42 @@ def evolve(
         times = np.stack((t0 + 0.5 * d1, t0 + d1 + 0.5 * d2, t0 + d1 + d2 + 0.5 * d3), 1).ravel()
         durations = np.tile((d1, d2, d3), end - begin)
         omega, delta = _schedule_values(schedule, times)
-        # Finite values can still overflow an angle, which _rotations refuses.
+        # Finite values can still overflow an angle, which _rotation_factors refuses.
         with np.errstate(over="ignore", invalid="ignore"):
-            rot = _rotations(
+            g, u, m = _rotation_factors(
                 (math.pi * omega * durations)[:, None],
                 np.multiply.outer(math.pi * delta, weights) * durations[:, None],
             )
-        mats = [_symmetric_power(rot[:, c], k) for c, k in enumerate(sizes)]
+        mats = [_symmetric_power(m[:, c], k) for c, k in enumerate(sizes)]
         blocks = [_kron_stages(mats[a:b]) for a, b in bounds]
-        for step in range(begin, end):
-            stage = 3 * (step - begin)
-            psi *= u_half
-            psi = _apply_blocks(psi, blocks, stage)
-            psi *= u_merged
-            psi = _apply_blocks(psi, blocks, stage + 1)
-            psi *= u_merged
-            psi = _apply_blocks(psi, blocks, stage + 2)
-            psi *= u_half
-            if step % check_every == 0 or step == steps - 1:
-                norm = math.sqrt(float(np.vdot(psi, psi).real))
-                if not (abs(norm - 1.0) <= _NORM_TOL):
-                    raise SimulationError(
-                        f"norm drifted to {norm} at step {step}; reduce the step size"
-                    )
+        if spans:
+            blocks[-1] = _times_identity(blocks[-1])
+        ratio = u * np.concatenate((last_u[None], u[:-1]))
+        last_u = u[-1].copy()
+        left, right = _phase_factors(np.prod(g ** np.array(sizes), axis=1), ratio, sizes, half)
+        for first in range(begin, end, batch):
+            # Stage rows [lo, hi) of this chunk, whole steps.
+            lo, hi = 3 * (first - begin), 3 * (min(first + batch, end) - begin)
+            diagonals = buffer[:hi - lo]
+            target = diagonals.view(np.float64).reshape(hi - lo, left.shape[1], -1)
+            np.matmul(left[lo:hi], right[lo:hi], out=target)
+            diagonals.reshape(-1, 3, basis)[:] *= step_phases
+            for stage in range(lo, hi):
+                _apply_stage(states[row], diagonals[stage - lo], blocks, stage, views[row])
+                row ^= flip
+                if stage % 3 < 2:
+                    continue
+                step = begin + stage // 3
+                if step % check_every == 0 or step == steps - 1:
+                    norm = math.sqrt(float(np.vdot(states[row], states[row]).real))
+                    if not (abs(norm - 1.0) <= _NORM_TOL):
+                        raise SimulationError(
+                            f"norm drifted to {norm} at step {step}; reduce the step size"
+                        )
         # Free this chunk's arrays before the next chunk builds its own.
-        del rot, mats, blocks
+        del g, u, m, mats, blocks, left, right
+    left, right = _phase_factors(np.ones(1), last_u[None], sizes, half)
+    psi = states[row] * (left[0] @ right[0]).reshape(-1).view(np.complex128) * u_half
     return _expand(psi, classes, n)
 
 

@@ -100,8 +100,8 @@ def reference_rotation(a, b):
 
 
 def block_sizes_reference(n):
-    """Near-equal split of n atoms into blocks of at most four, larger blocks first."""
-    count = -(-n // 4)
+    """Near-equal split of n atoms into blocks of at most four (three above 4,096 amplitudes), larger first."""
+    count = -(-n // (3 if 2**n > 4096 else 4))
     base, extra = divmod(n, count)
     return [base + 1] * extra + [base] * (count - extra)
 
@@ -116,6 +116,25 @@ def pulse_reference(s, t):
     if t <= down:
         return s.omega0, s.delta_i + (s.delta_f - s.delta_i) * (t - up) / (down - up)
     return s.omega0 * (total - t) / (total - down), s.delta_f
+
+
+def rebuilt_rotation(g, u, m):
+    """g diag(1, u) M diag(1, u): one atom's rotation from its factors."""
+    d = np.array([1.0, u])
+    return g * (d[:, None] * m * d[None, :])
+
+
+def stage_bytes(spec):
+    """Bytes a chunk stores per stage: float64 blocks (the last of several times I_2) and phase factors."""
+    dims = [len(members) + 1 for members in sim._twin_classes(spec)]
+    blocks, start = [], 0
+    for count in sim._block_split([d - 1 for d in dims]):
+        blocks.append(math.prod(dims[start:start + count]))
+        start += count
+    if len(blocks) > 1:
+        blocks[-1] *= 2
+    half = next(c for c in range(len(dims) + 1) if math.prod(dims[:c]) ** 2 >= math.prod(dims))
+    return 8 * sum(d * d for d in blocks) + 16 * math.prod(dims[:half]) + 32 * math.prod(dims[half:])
 
 
 def stage_midpoints(total, steps):
@@ -443,8 +462,12 @@ class TestEvolve:
 
     def test_norm_guard_catches_nan(self, monkeypatch):
         # evolve refuses a NaN schedule value up front (tests/test_errors.py),
-        # so the NaN enters through the rotation kernel instead.
-        monkeypatch.setattr(sim, "_rotations", lambda a, b: np.full(b.shape + (2, 2), np.nan, dtype=complex))
+        # so the NaN enters through the rotation factors instead.
+        def nan_factors(a, b):
+            phase = np.full(b.shape, np.nan, dtype=complex)
+            return phase, phase, np.full(b.shape + (2, 2), np.nan)
+
+        monkeypatch.setattr(sim, "_rotation_factors", nan_factors)
         with pytest.raises(SimulationError, match="norm drifted to nan"):
             evolve(HamiltonianSpec(n=2), PulseSchedule(total_time=1.0), steps=3)
 
@@ -526,49 +549,81 @@ class TestEvolve:
 
 class TestRotationKernel:
     def test_block_sizes(self):
-        # Classes of one atom split like atoms: near-equal blocks of at most four.
-        assert sim._block_split([1] * 15) == [4, 4, 4, 3]
+        # Classes of one atom split like atoms: near-equal blocks of at most
+        # four, or of at most three above 4,096 amplitudes (12 atoms).
+        assert sim._block_split([1] * 15) == [3, 3, 3, 3, 3]
+        assert sim._block_split([1] * 13) == [3, 3, 3, 2, 2]
+        assert sim._block_split([1] * 12) == [4, 4, 4]
         assert sim._block_split([1] * 11) == [4, 4, 3]
         assert sim._block_split([1]) == [1]
         for n in range(1, 17):
             sizes = sim._block_split([1] * n)
             assert sizes == block_sizes_reference(n)
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
-            assert 2 ** max(sizes) <= 16
+            assert 2 ** max(sizes) <= (8 if n > 12 else 16)
 
     def test_rotations_match_the_matrix_exponential(self):
+        # R = g diag(1, u) M diag(1, u) with M real, M M = I and |g| = |u| = 1.
         rng = np.random.default_rng(7)
-        a = np.concatenate([[0.0, 0.0, 0.3], rng.uniform(-2.0, 2.0, size=40)])
-        b = np.concatenate([[0.0, 0.4, 0.0], rng.uniform(-2.0, 2.0, size=40)])
-        got = sim._rotations(a, b)
-        assert got.shape == (len(a), 2, 2)
-        for k in range(len(a)):
-            assert np.max(np.abs(got[k] - reference_rotation(a[k], b[k]))) <= 1e-14
+        edges = [
+            (0.0, 0.4), (0.3, 0.0), (0.0, 0.0),  # a = 0, b = 0, both
+            (math.pi / 2, 0.0),  # phi = pi/2 and b = 0: z = cos(phi) is rounding noise
+            (-0.3, 0.4), (-1.7, -0.2),  # a < 0
+            (1e3, 0.0), (-1e3, 0.0), (0.0, 1e3), (0.0, -1e3),  # |a|, |b| = 1e3, phi exact
+        ]
+        a = np.concatenate([[x for x, _ in edges], rng.uniform(-2.0, 2.0, size=40)])
+        b = np.concatenate([[y for _, y in edges], rng.uniform(-2.0, 2.0, size=40)])
+        # Random angles up to 1e3, where phi itself is rounded to about phi * 1e-16.
+        big_a, big_b = rng.uniform(-1e3, 1e3, size=40), rng.uniform(-1e3, 1e3, size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, u, m = sim._rotation_factors(np.concatenate([a, big_a]), np.concatenate([b, big_b]))
+        assert g.shape == u.shape == (len(a) + 40,) and m.shape == (len(a) + 40, 2, 2)
+        assert g.dtype == u.dtype == np.complex128 and m.dtype == np.float64
+        assert np.max(np.abs(np.abs(g) - 1.0)) <= 1e-15 and np.max(np.abs(np.abs(u) - 1.0)) <= 1e-15
+        assert np.max(np.abs(m @ m - np.eye(2))) <= 1e-15
+        assert np.array_equal(m[:, 0, 1], m[:, 1, 0]) and np.array_equal(m[:, 1, 1], -m[:, 0, 0])
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert np.max(np.abs(rebuilt_rotation(g[k], u[k], m[k]) - reference_rotation(x, y))) <= 1e-14
+        for k, (x, y) in enumerate(zip(big_a, big_b), start=len(a)):
+            error = np.max(np.abs(rebuilt_rotation(g[k], u[k], m[k]) - reference_rotation(x, y)))
+            assert error <= 1e-15 * math.hypot(x, y)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_the_per_axis_reference(self, n):
         # Three stages of mixed weights, so every block multiplies distinct
         # rotations and each stage picks its own slice of the stored blocks.
+        # The stage applies G D K D: its diagonal holds G D, and D follows.
         rng = np.random.default_rng(100 + n)
         weights = np.array([1.0, 2.0, 2.5])
         group = list(rng.integers(len(weights), size=n))
         stages = 3
-        rot = sim._rotations(
-            rng.uniform(-1.0, 1.0, size=(stages, 1)),
-            rng.uniform(-1.0, 1.0, size=(stages, 1)) * weights,
-        )
+        a = rng.uniform(-1.0, 1.0, size=(stages, 1))
+        b = rng.uniform(-1.0, 1.0, size=(stages, 1)) * weights
+        g, u, m = sim._rotation_factors(a, b)
         keys, start = [], 0
         for size in sim._block_split([1] * n):
             keys.append(tuple(group[start:start + size]))
             start += size
-        blocks = [sim._kron_stages([rot[:, g] for g in key]) for key in keys]
+        blocks = [sim._kron_stages([m[:, w] for w in key]) for key in keys]
+        if len(blocks) > 1:
+            blocks[-1] = sim._times_identity(blocks[-1])
+        work = np.zeros((2, 2 << n))
+        views = sim._block_views(work, [block.shape[1] for block in blocks])
+        states = work.view(complex)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
         for stage in range(stages):
             expected = psi.copy()
-            apply_rotations_reference(expected.reshape((2,) * n), [rot[stage, k].ravel() for k in group])
-            got = sim._apply_blocks(psi, blocks, stage)
-            assert got.shape == psi.shape
+            rotations = [reference_rotation(a[stage, 0], b[stage, w]).ravel() for w in group]
+            apply_rotations_reference(expected.reshape((2,) * n), rotations)
+            diagonal = np.ones(1)
+            for w in group:
+                diagonal = np.kron(diagonal, [1.0, u[stage, w]])
+            row = stage % 2
+            states[row] = psi
+            sim._apply_stage(states[row], np.prod(g[stage, group]) * diagonal, blocks, stage, views[row])
+            got = states[(row + len(blocks)) % 2] * diagonal
             assert np.max(np.abs(got - expected)) <= 1e-13
             psi = got
 
@@ -587,14 +642,16 @@ class TestRotationKernel:
         spec = build_hamiltonian(graph, detuning_weights=[1.0 + k / 8 for k in range(n)])
         steps = 100
         whole = evolve(spec, PulseSchedule(), steps=steps)
-        # A distinct weight per atom makes every block distinct, so a step
-        # stores 3 * sum(4^s) entries: seven steps fit in one chunk, and the
-        # last of 15 chunks holds two.
-        per_step = 3 * sum(4**size for size in sim._block_split([1] * n))
-        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 7 * per_step + per_step // 2)
+        # A distinct weight per atom makes every block distinct, so seven
+        # and a half steps fit in one chunk, and the last of 15 chunks holds
+        # two.  Batches of one step split every chunk again.
+        per_step = 3 * stage_bytes(spec)
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 7 * per_step + per_step // 2)
         chunked = evolve(spec, PulseSchedule(), steps=steps)
         assert np.max(np.abs(chunked - whole)) <= 1e-13
-        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1)
+        monkeypatch.setattr(sim, "_BATCH_BYTES", 1)
+        assert np.max(np.abs(evolve(spec, PulseSchedule(), steps=steps) - whole)) <= 1e-13
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 1)
         assert np.max(np.abs(evolve(spec, PulseSchedule(), steps=steps) - whole)) <= 1e-13
 
     def test_one_schedule_call_per_chunk(self, monkeypatch):
@@ -610,9 +667,11 @@ class TestRotationKernel:
 
         graph, _ = load_builtin_layout("G3")
         spec = build_hamiltonian(graph)
-        # Blocks of dimension 6 and 12 store 3 * (36 + 144) entries a step, so
-        # 100 steps take three chunks of 40, 40 and 20 steps.
-        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 40 * 540)
+        # Blocks of dimension 6 and 12 (24 times I_2) and phase factors of 18
+        # by 2 and 2 by 8 floats fill 40 steps, so 100 steps take chunks of
+        # 40, 40 and 20.
+        assert stage_bytes(spec) == 8 * (36 + 576) + 8 * (18 * 2 + 2 * 8)
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 40 * 3 * stage_bytes(spec))
         spy = Spy()
         assert np.array_equal(evolve(spec, spy, steps=100), evolve(spec, PulseSchedule(), steps=100))
         assert [t.shape for t in spy.calls] == [(120,), (120,), (60,)]
@@ -627,6 +686,20 @@ class TestRotationKernel:
         expected = np.zeros(1 << spec.n, dtype=complex)
         expected[0] = 1.0
         assert np.array_equal(psi, expected)
+
+    def test_every_stored_block_is_real(self, monkeypatch):
+        seen = set()
+        apply_stage = sim._apply_stage
+
+        def spy(state, diagonal, blocks, stage, views):
+            seen.update((block.dtype, state.dtype, diagonal.dtype) for block in blocks)
+            apply_stage(state, diagonal, blocks, stage, views)
+
+        monkeypatch.setattr(sim, "_apply_stage", spy)
+        for name in BUNDLED:
+            graph, _ = load_builtin_layout(name)
+            evolve(build_hamiltonian(graph), PulseSchedule(), steps=2)
+        assert seen == {(np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.complex128))}
 
     def test_peak_memory_does_not_grow_with_the_step_count(self):
         graph, _ = load_builtin_layout("G7")
@@ -678,12 +751,12 @@ class TestTwinClasses:
         rng = np.random.default_rng(20 + k)
         a = rng.uniform(-2.0, 2.0, size=4)
         b = rng.uniform(-2.0, 2.0, size=4)
-        rot = sim._rotations(a, b)
+        _, _, rot = sim._rotation_factors(a, b)
         # Column m: the normalised sum of the bitstrings with m excited atoms.
         excited = np.array([bin(index).count("1") for index in range(1 << k)])
         dicke = np.stack([(excited == m) / math.sqrt(math.comb(k, m)) for m in range(k + 1)], axis=1)
         got = sim._symmetric_power(rot, k)
-        assert got.shape == (4, k + 1, k + 1)
+        assert got.shape == (4, k + 1, k + 1) and got.dtype == np.float64
         for stage in range(4):
             power = np.ones((1, 1))
             for _ in range(k):
@@ -692,7 +765,7 @@ class TestTwinClasses:
 
     def test_one_atom_classes_take_the_atom_rotation_exactly(self):
         rng = np.random.default_rng(5)
-        rot = sim._rotations(rng.uniform(-2.0, 2.0, size=4), rng.uniform(-2.0, 2.0, size=4))
+        _, _, rot = sim._rotation_factors(rng.uniform(-2.0, 2.0, size=4), rng.uniform(-2.0, 2.0, size=4))
         assert np.array_equal(sim._symmetric_power(rot, 1), rot)
 
     def test_one_atom_classes_expand_to_the_state_itself(self):
@@ -702,21 +775,22 @@ class TestTwinClasses:
         assert np.array_equal(sim._expand(psi, [[k] for k in range(n)], n), psi)
 
     def test_block_split_bounds_every_block(self):
-        # G7: classes {0,1} and {13,14} around eleven single atoms.
-        assert sim._block_split([2] + [1] * 11 + [2]) == [3, 4, 4, 2]  # dimensions 12, 16, 16, 6
+        # G7: classes {0,1} and {13,14} around eleven single atoms, 18,432 amplitudes.
+        assert sim._block_split([2] + [1] * 11 + [2]) == [2, 3, 3, 3, 2]  # dimensions 6, 8, 8, 8, 6
         assert sim._block_split([3, 1, 1, 1]) == [1, 3]  # G4: dimensions 4, 8
         assert sim._block_split([40]) == [1]  # a class above the bound is a block of its own
         rng = np.random.default_rng(3)
         for _ in range(200):
             sizes = list(rng.integers(1, 6, size=rng.integers(1, 12)))
+            bound = 3 if math.prod(k + 1 for k in sizes) > 4096 else 4
             split = sim._block_split(sizes)
             assert sum(split) == len(sizes)
-            assert len(split) <= -(-sum(sizes) // 4) + len(sizes)
+            assert len(split) <= -(-sum(sizes) // bound) + len(sizes)
             start = 0
             for count in split:
                 block = sizes[start:start + count]
-                assert sum(block) <= 4 or count == 1
-                assert math.prod(k + 1 for k in block) <= 16
+                assert sum(block) <= bound or count == 1
+                assert math.prod(k + 1 for k in block) <= 2**bound or count == 1
                 start += count
 
     @pytest.mark.parametrize("name", BUNDLED)
@@ -757,10 +831,10 @@ class TestTwinClasses:
         graph, _ = load_builtin_layout("G3")
         spec = build_hamiltonian(graph)
         whole = evolve(spec, PulseSchedule(), steps=100)
-        # Blocks of dimension 6 and 12 store 3 * (36 + 144) entries a step:
-        # seven and a half steps fit, so the last of 15 chunks holds two.
-        for entries in (7 * 540 + 270, 1):
-            monkeypatch.setattr(sim, "_CHUNK_ENTRIES", entries)
+        # Seven and a half steps fit, so the last of 15 chunks holds two.
+        per_step = 3 * stage_bytes(spec)
+        for size in (7 * per_step + per_step // 2, 1):
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", size)
             assert np.max(np.abs(evolve(spec, PulseSchedule(), steps=100) - whole)) <= 1e-13
 
     def test_evolve_logs_one_debug_record(self, caplog):
@@ -770,7 +844,7 @@ class TestTwinClasses:
             evolve(HamiltonianSpec(n=3), PulseSchedule(), steps=5)
         assert [r.getMessage() for r in caplog.records] == [
             "evolve: atoms=15 classes=13 twins=[[0, 1], [13, 14]] basis=18432 full=32768 "
-            "blocks=[12, 16, 16, 6] steps=2",
+            "blocks=[6, 8, 8, 8, 6] steps=2",
             "evolve: atoms=3 classes=1 twins=[[0, 1, 2]] basis=4 full=8 blocks=[4] steps=5",
         ]
 
