@@ -47,8 +47,8 @@ multiplies.
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
-in atom order.  A measured distribution keeps its probabilities as one array
-in index order and formats a bitstring only when a reader asks for it.
+in atom order.  A distribution holds its outcomes as one ascending index
+array and one probability array, and formats a bitstring only when read.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ _TWO_PI = 2.0 * math.pi
 _NORM_TOL = 1e-6
 # numpy's multinomial draws int64 counts.
 _MAX_SHOTS = 2**63 - 1
+# A distribution's int64 index holds bitstrings of at most this many bits.
+_MAX_WIDTH = 63
 
 # Fourth-order (triple-jump) composition coefficients for symmetric steps.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -679,10 +681,10 @@ class StateDistribution:
     """Probability per measured bitstring.
 
     ``exact`` distinguishes Born probabilities from sampled frequencies.
-    Probabilities are nonnegative reals summing to one within 1e-9; the
-    outcomes are ranked on first read, so do not change the table after.
-    A distribution from ``measure_distribution`` holds one probability array
-    in index order and builds its ``probabilities`` table on first read.
+    Probabilities are nonnegative reals summing to one within 1e-9; bitstrings
+    are strings of 0 and 1 of one width from 1 to 63.  Every distribution holds
+    ``_index``, its outcomes' bitstring indices ascending as int64, ``_values``,
+    their float64 probabilities, and ``_width``, the bit count.
     """
 
     def __init__(
@@ -695,11 +697,10 @@ class StateDistribution:
         table = probabilities
         if not isinstance(table, Mapping) or not all(issubclass(t, str) for t in set(map(type, table))):
             raise InputError("probabilities must map bitstrings, as str, to probabilities")
-        self.atom_labels = _checked_labels(atom_labels)
+        labels = _checked_labels(atom_labels)
         if not isinstance(exact, bool):
             raise InputError(f"exact must be a bool, got {exact!r}")
-        self.exact = exact
-        self.shots = None if shots is None else require_int(shots, "shots", 1)
+        shots = None if shots is None else require_int(shots, "shots", 1)
         if not all(map(is_real_type, set(map(type, table.values())))):
             raise InputError("probabilities must be real numbers")
         keys = sorted(table)
@@ -712,26 +713,27 @@ class StateDistribution:
         total = float(probs.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise InputError(f"probabilities sum to {total}, expected 1")
-        self.probabilities = table
-        # The outcomes in bitstring order: ``_outcomes`` lists them for a
-        # table; for a measured state they are every ``_width``-bit string in
-        # index order.  ``_values`` holds their probabilities as floats.
-        self._outcomes: list[str] | None = keys
-        self._width: int | None = None
-        self._values = probs
+        # The sum check refuses an empty table, so there is a first key.
+        width = len(keys[0])
+        bad = next((k for k in keys if len(k) != width or k.strip("01")), None)
+        if bad is not None or not 0 < width <= _MAX_WIDTH:
+            raise InputError(f"bitstrings must be 0s and 1s of one width, 1 to {_MAX_WIDTH}, got {bad or keys[0]!r}")
+        if labels is not None and len(labels) != width:
+            raise InputError(f"atom label count {len(labels)} does not match the bitstring width {width}")
+        # Equal-width strings of 0 and 1 sort as their values, so the index ascends.
+        index = np.fromiter((int(k, 2) for k in keys), np.int64, len(keys))
+        self._fill(index, probs, width, exact, shots, labels)
 
-    @classmethod
-    def _measured(cls, probs: np.ndarray, width: int, atom_labels: tuple[str, ...] | None):
-        """Born probabilities ``probs`` of the ``width``-bit strings in index order, already checked."""
-        dist = cls.__new__(cls)
-        dist.exact, dist.shots, dist.atom_labels = True, None, atom_labels
-        dist._outcomes, dist._width, dist._values = None, width, probs
-        return dist
+    def _fill(self, index, values, width, exact, shots, atom_labels) -> StateDistribution:
+        """Sets every field from already-checked values and returns self; every producer builds here."""
+        self._index, self._values, self._width = index, values, width
+        self.exact, self.shots, self.atom_labels = exact, shots, atom_labels
+        return self
 
     @functools.cached_property
     def probabilities(self) -> dict[str, float]:
-        """The table: bitstring -> probability, in index order for a measured state."""
-        return dict(zip(self._keys(np.arange(len(self._values))), self._values.tolist()))
+        """The table: bitstring -> probability, in bitstring order."""
+        return dict(zip(_bitstrings(self._index, self._width), self._values.tolist()))
 
     def _fields(self) -> tuple:
         return self.probabilities, self.exact, self.shots, self.atom_labels
@@ -743,11 +745,9 @@ class StateDistribution:
         fields = "probabilities={!r}, exact={!r}, shots={!r}, atom_labels={!r}".format(*self._fields())
         return f"StateDistribution({fields})"
 
-    def _keys(self, index: np.ndarray) -> list[str]:
-        """The bitstrings at positions ``index`` of the bitstring order."""
-        if self._outcomes is None:
-            return _bitstrings(index, self._width)
-        return [self._outcomes[i] for i in index.tolist()]
+    def _keys(self, pos: np.ndarray) -> list[str]:
+        """The bitstrings at positions ``pos`` of the bitstring order."""
+        return _bitstrings(self._index[pos], self._width)
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
@@ -810,7 +810,8 @@ def measure_distribution(
     if labels is not None and len(labels) != n:
         raise InputError("atom label count does not match the state size")
     # A one-amplitude state reads "0", as format(0, "b") does.
-    return StateDistribution._measured(probs, max(n, 1), labels)
+    return StateDistribution.__new__(StateDistribution)._fill(
+        np.arange(dim, dtype=np.int64), probs, max(n, 1), True, None, labels)
 
 
 def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> StateDistribution:
@@ -826,24 +827,21 @@ def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> S
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     drawn = np.flatnonzero(counts)
-    table = dict(zip(dist._keys(drawn), (counts[drawn] / shots).tolist()))
-    return StateDistribution(
-        probabilities=table, exact=False, shots=shots, atom_labels=dist.atom_labels
-    )
+    return StateDistribution.__new__(StateDistribution)._fill(
+        dist._index[drawn], counts[drawn] / shots, dist._width, False, shots, dist.atom_labels)
 
 
 def postselect(
     dist: StateDistribution, predicate: Callable[[str], bool]
 ) -> StateDistribution:
     """Drop outcomes failing ``predicate`` and renormalise the rest."""
-    kept = {bs: p for bs, p in dist.probabilities.items() if predicate(bs)}
-    mass = sum(kept.values())
+    keep = np.array([bool(predicate(bs)) for bs in _bitstrings(dist._index, dist._width)], dtype=bool)
+    kept = dist._values[keep]
+    mass = sum(kept.tolist())
     if mass <= 0.0:
         raise EmptySelection("post-selection removed all probability mass")
-    table = {bs: p / mass for bs, p in kept.items()}
-    return StateDistribution(
-        probabilities=table, exact=dist.exact, shots=None, atom_labels=dist.atom_labels
-    )
+    return StateDistribution.__new__(StateDistribution)._fill(
+        dist._index[keep], kept / mass, dist._width, dist.exact, None, dist.atom_labels)
 
 
 def af_predicate(graph: AtomGraph) -> Callable[[Sequence[int] | str], bool]:

@@ -252,13 +252,23 @@ DISTRIBUTION_FLAGS = {
     "exact='no'": ({"exact": "no"}, "exact must be a bool, got 'no'"),
     "exact=1": ({"exact": 1}, "exact must be a bool, got 1"),
     "exact=None": ({"exact": None}, "exact must be a bool, got None"),
+    "key='ab'": ({"probabilities": {"ab": 1.0}}, "bitstrings must be 0s and 1s of one width, 1 to 63, got 'ab'"),
+    "mixed widths": (
+        {"probabilities": {"0": 0.5, "11": 0.5}}, "bitstrings must be 0s and 1s of one width, 1 to 63, got '11'"
+    ),
+    "key=''": ({"probabilities": {"": 1.0}}, "bitstrings must be 0s and 1s of one width, 1 to 63, got ''"),
+    "64 bits": ({"probabilities": {"0" * 64: 1.0}}, "bitstrings must be 0s and 1s of one width, 1 to 63, got '0000"),
+    "label count": (
+        {"probabilities": {"01": 1.0}, "atom_labels": ("a",)},
+        "atom label count 1 does not match the bitstring width 2",
+    ),
 }
 
 
 @pytest.mark.parametrize("fields, message", DISTRIBUTION_FLAGS.values(), ids=DISTRIBUTION_FLAGS.keys())
 def test_distribution_flags_take_their_rules(fields, message):
     with pytest.raises(InputError, match=f"^{message}"):
-        StateDistribution({"0": 1.0}, **fields)
+        StateDistribution(**{"probabilities": {"0": 1.0}, **fields})
 
 
 class TestNumpyIntegersActAsPythonInts:

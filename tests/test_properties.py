@@ -1,4 +1,4 @@
-"""Property tests of the command line and the compiler; skipped when hypothesis is missing."""
+"""Property tests of the command line, the compiler and the readout; skipped when hypothesis is missing."""
 
 import copy
 import json
@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rydqubo.cli import main  # noqa: E402
 from rydqubo.compiler import compile_qubo, graph_to_dict  # noqa: E402
+from rydqubo.errors import InputError  # noqa: E402
 from rydqubo.qubo import QuboInstance, qubo_from_dict  # noqa: E402
+from rydqubo.sim import StateDistribution, postselect, sample_distribution  # noqa: E402
 from rydqubo import solver  # noqa: E402
 from rydqubo.solver import certify_equivalence  # noqa: E402
 from test_solver import listing_reference  # noqa: E402
@@ -156,3 +158,46 @@ def test_compiled_qubo_certifies(q):
     # run: above the cap, degenerate even wires can multiply its sets past 2**20.
     if graph.atom_count <= solver.DEFAULT_ENUM_CAP:
         assert listing_reference(q, graph, solver.DEFAULT_ENUM_CAP) == report.to_dict()
+
+
+@st.composite
+def probability_tables(draw):
+    """A table and atom labels for ``StateDistribution``.
+
+    The table maps strings of 0 and 1 of one width to nonnegative numbers,
+    mostly scaled to sum to one.  Up to two spoilers then replace a value by
+    a JSON value or add a key of any width or with stray characters.  The
+    labels are absent, one per bit or of any count.
+    """
+    width = draw(st.integers(1, 3))
+    keys = sorted(draw(st.sets(st.text("01", min_size=width, max_size=width), min_size=1, max_size=4)))
+    weights = [draw(st.integers(1, 3) | st.floats(0, 4)) for _ in keys]
+    total = sum(weights) if draw(st.integers(0, 3)) else 1
+    table = {k: w / total if total else w for k, w in zip(keys, weights)}
+    for spoiler in draw(st.lists(st.sampled_from(["value", "key"]), max_size=2)):
+        if spoiler == "value":
+            table[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
+        else:
+            table[draw(st.text("01b_ x", max_size=4))] = draw(JSON_VALUES | st.just(0.0))
+    label = st.text(max_size=2)
+    labels = draw(st.none() | st.lists(label, min_size=width, max_size=width) | st.lists(label, max_size=3))
+    return table, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=probability_tables())
+def test_distribution_builds_or_refuses_and_round_trips(drawn):
+    table, labels = drawn
+    try:
+        dist = StateDistribution(table, atom_labels=labels)
+    except InputError:
+        return
+    assert StateDistribution(dist.to_dict()["probabilities"], atom_labels=dist.atom_labels) == dist
+    # postselect renormalises by the sum of the kept probabilities in
+    # bitstring order, which is exactly 1 for most tables that build.
+    mass = sum(dist.probabilities.values())
+    renormalised = {bits: p / mass for bits, p in dist.probabilities.items()}
+    kept = postselect(dist, lambda bits: True)
+    assert kept == StateDistribution(renormalised, atom_labels=dist.atom_labels)
+    assert kept == dist or mass != 1.0
+    sample_distribution(dist, 10, seed=0)

@@ -913,6 +913,26 @@ class TestDistributions:
             with pytest.raises(InputError, match="atom_labels"):
                 StateDistribution({"0": 1.0}, atom_labels=labels)
         assert StateDistribution({"0": 1.0}, atom_labels=["a"]).atom_labels == ("a",)
+        # Keys are 0s and 1s of one width that an int64 index holds (the
+        # refusal table of test_errors.py has more); int(k, 2) alone would
+        # take "0b1", " 1", "0_1" and other digits of value 1.
+        for bad in ({"0b1": 1.0}, {" 1": 1.0}, {"0_1": 1.0}, {"\u0661": 1.0}):
+            with pytest.raises(InputError, match="bitstrings must be 0s and 1s of one width"):
+                StateDistribution(bad)
+        # The older checks still come first.
+        with pytest.raises(InputError, match="sum to"):
+            StateDistribution({"ab": 0.5})
+        assert StateDistribution({"1" * 63: 1.0}).top() == [("1" * 63, 1.0)]
+
+    def test_the_table_is_copied_at_construction(self):
+        given = {"0": 0.5, "1": 0.5}
+        dist = StateDistribution(given)
+        given["0"], given["1"] = 0.9, 0.1
+        assert dist.probabilities == {"0": 0.5, "1": 0.5}
+        assert dist.top(2) == [("0", 0.5), ("1", 0.5)]
+        assert dist.to_csv() == "bitstring,probability\n0,0.5\n1,0.5\n"
+        assert dist == StateDistribution({"0": 0.5, "1": 0.5})
+        assert dist != StateDistribution(given)
 
     def test_csv_format(self):
         dist = StateDistribution({"01": 0.75, "10": 0.25}, atom_labels=("a", "b"))
@@ -965,7 +985,8 @@ class TestDistributions:
         dist = StateDistribution(dict(given))
         dist.top(1), dist.top(3), dist.modal(), dist.to_csv(), dist.to_dict()
         assert len(sorts) == 1
-        assert list(dist.probabilities.items()) == list(given.items())
+        # A table reads back in bitstring order, as a measured distribution does.
+        assert list(dist.probabilities.items()) == sorted(given.items())
         sorts.clear()
         measured = measure_distribution(np.sqrt([0.3, 0.3, 0.3, 0.1]))
         measured.top(1), measured.top(3), measured.modal(), measured.to_csv(), measured.to_dict()
