@@ -28,22 +28,20 @@ unit phases and M real orthogonal (see ``_rotation_factors``), so a class of
 k twins rotates by g^k diag(u^m) Sym_k(M) diag(u^m).  Between two stages
 the phase diagonals of both and the interaction phase merge into one complex
 diagonal, so each stage is one complex diagonal multiply followed by real
-block products.  The class axes are split into near-equal blocks of at most
-three atoms (dimension at most 8) when the swept state has more than 4,096
-amplitudes, and of at most four (dimension at most 16) otherwise; each
-block's Kronecker product of real class factors acts as one real matrix
-product on the state viewed as float64.  Each product also cycles the
-block's axes to the end, and the last block also spans the real and
-imaginary axis (a lone block has it as its rest), so after it the state is
-back in class order and views as complex without a copy.  Real blocks do
-half the flops of complex ones; the changed order of floating-point sums
-moves CSV probabilities in about the 12th significant digit.  The sweep
-runs in chunks of steps.  Each chunk evaluates the schedule once, on the
-array of its stage midpoints, then builds the rotation factors, one real
-product per block and two phase factors per stage in one vectorised pass;
-it stores at most ``_CHUNK_BYTES``.  The stage diagonals are built from the
-phase factors a few steps at a time, so the loop over stages only
-multiplies.
+block products.  The class axes are filled greedily into blocks of at most
+three atoms (dimension at most 8); each block's Kronecker product of real
+class factors acts as one real matrix product on the state viewed as
+float64.  Each product also cycles the block's axes to the end, and the last
+block, stored times I_2, also spans the real and imaginary axis, so after it
+the state is back in class order and views as complex without a copy.  Real
+blocks do half the flops of complex ones; the changed order of
+floating-point sums moves CSV probabilities in about the 12th significant
+digit.  The sweep runs in chunks of steps.  Each chunk evaluates the
+schedule once, on the array of its stage midpoints, then builds the
+rotation factors, one real product per block and two phase factors per
+stage in one vectorised pass; it holds at most ``2 * _CHUNK_BYTES`` at its
+build peak.  The stage diagonals are built from the phase factors a few
+steps at a time, so the loop over stages only multiplies.
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
@@ -71,15 +69,13 @@ from .geometry import Layout, PhysicalParams, pair_interaction
 DEFAULT_SIM_CAP = 16
 DEFAULT_STEPS = 4000
 # Steps are swept in chunks whose stored blocks and phase factors take at
-# most this many bytes (4 MiB), whatever the step count.
-_CHUNK_BYTES = 1 << 22
+# most this many bytes (2 MiB), whatever the step count.  Building them
+# takes at most as much again, so a chunk holds at most 4 MiB.
+_CHUNK_BYTES = 1 << 21
 # A chunk builds its stage diagonals in batches of whole steps that take at
 # most this many bytes, at least one step, so that a batch stays in cache
 # until the sweep reads it.
 _BATCH_BYTES = 1 << 20
-# A state of more amplitudes than this is swept in blocks of at most three
-# atoms, a smaller one in blocks of at most four.
-_SMALL_STATE = 4096
 _TWO_PI = 2.0 * math.pi
 # Largest drift of a state's norm from 1 that evolve and measure accept.
 _NORM_TOL = 1e-6
@@ -351,34 +347,22 @@ def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_split(sizes: Sequence[int]) -> list[int]:
-    """Near-equal split of consecutive classes into blocks of at most three or four atoms.
+    """Consecutive classes filled greedily into blocks of at most three atoms.
 
     ``sizes`` holds each class's atom count; returns the number of classes
-    per block.  A state of more than ``_SMALL_STATE`` amplitudes, the product
-    of the class dimensions, takes blocks of at most three atoms, so of
-    dimension at most 8; a smaller one takes blocks of at most four, so of
-    dimension at most 16, because it gains more from fewer products than
-    from smaller ones.  Each block takes classes while its atoms stay within
-    the remaining atoms' equal share of the blocks they need; a class of
-    more atoms than the bound is a block of its own.  A class of k atoms is
-    an axis of dimension k+1 <= 2^k.  One-atom classes split like atoms,
-    larger blocks first, so that for them the last block, which also spans
-    the real and imaginary axis and so costs like a complex block, is the
-    smallest.
+    per block.  Each block takes classes while its atoms stay within three,
+    so its dimension stays within 8, since a class of k atoms is an axis of
+    dimension k+1 <= 2^k.  A class of more than three atoms is a block of its
+    own.
     """
-    bound = 3 if math.prod(k + 1 for k in sizes) > _SMALL_STATE else 4
     split: list[int] = []
-    rest = list(sizes)
-    while rest:
-        atoms = sum(rest)
-        blocks = -(-atoms // bound)
-        share = -(-atoms // blocks)
-        count, taken = 1, rest[0]
-        while count < len(rest) and taken + rest[count] <= share:
-            taken += rest[count]
-            count += 1
-        split.append(count)
-        rest = rest[count:]
+    for k in sizes:
+        if split and taken + k <= 3:
+            split[-1] += 1
+            taken += k
+        else:
+            split.append(1)
+            taken = k
     return split
 
 
@@ -430,9 +414,13 @@ def _phase_factors(
         while len(part) > 1:
             low = part.pop()
             part[-1] = (part[-1][:, :, None] * low[:, None, :]).reshape(stages, -1)
-    lead, trail = lead[0], trail[0]
-    left = np.stack((lead.real, lead.imag), axis=2)
-    right = np.stack((trail.view(np.float64), (1j * trail).view(np.float64)), axis=1)
+    # Each complex factor is dropped once its real copy exists, so that the
+    # build holds little more than its result (see _CHUNK_BYTES).
+    left, trail = np.stack((lead[0].real, lead[0].imag), axis=2), trail[0]
+    del lead
+    right = np.empty((stages, 2, 2 * trail.shape[1]))
+    right[:, 0] = trail.view(np.float64)
+    right[:, 1, 0::2], right[:, 1, 1::2] = -trail.imag, trail.real
     return left, right
 
 
@@ -462,15 +450,11 @@ def _block_views(work: np.ndarray, dims: Sequence[int]) -> list[list[tuple[np.nd
     writes its axes last, into the other row.  Once every other block has
     moved, the last block's axes lead and the real and imaginary axis
     follows them, so the last block is stored times I_2, of twice its
-    dimension, and spans that axis too; a lone block is stored as it is.
+    dimension, and spans that axis too; a lone block is also the last.
     After the last block the axes are back in class order with the real and
     imaginary parts interleaved, in row ``(p + len(dims)) % 2`` for a state
     that started in row p.
     """
-    if len(dims) == 1:
-        # A lone block's axes lead and the real and imaginary axis is all
-        # the rest, so the block acts on it as it is, from either side.
-        return [[(work[p].reshape(dims[0], 2).T, work[1 - p].reshape(dims[0], 2).T)] for p in (0, 1)]
     return [
         [
             (work[(p + k) % 2].reshape(dim, -1).T, work[(p + k + 1) % 2].reshape(-1, dim))
@@ -559,10 +543,9 @@ def evolve(
     # square root of the basis: the leading classes, up to ``half``, and the
     # rest.
     half = next(c for c in range(len(dims) + 1) if math.prod(dims[:c]) ** 2 >= basis)
-    # The last block is stored times I_2 to span the real and imaginary axis,
-    # unless it is the only block (see _block_views).
-    spans = len(block_dims) > 1
-    stored = block_dims[:-1] + [2 * block_dims[-1] if spans else block_dims[-1]]
+    # The last block is stored times I_2 to span the real and imaginary axis
+    # (see _block_views).
+    stored = block_dims[:-1] + [2 * block_dims[-1]]
     # Three stages per step.  A stage stores its blocks and its two real
     # phase factors (see _phase_factors) as float64.
     stage_bytes = 8 * sum(dim**2 for dim in stored)
@@ -624,10 +607,9 @@ def evolve(
                 (math.pi * omega * durations)[:, None],
                 np.multiply.outer(math.pi * delta, weights) * durations[:, None],
             )
-        mats = [_symmetric_power(m[:, c], k) for c, k in enumerate(sizes)]
-        blocks = [_kron_stages(mats[a:b]) for a, b in bounds]
-        if spans:
-            blocks[-1] = _times_identity(blocks[-1])
+        blocks = [_kron_stages([_symmetric_power(m[:, c], sizes[c]) for c in range(a, b)]) for a, b in bounds]
+        blocks[-1] = _times_identity(blocks[-1])
+        del m
         ratio = u * np.concatenate((last_u[None], u[:-1]))
         last_u = u[-1].copy()
         left, right = _phase_factors(np.prod(g ** np.array(sizes), axis=1), ratio, sizes, half)
@@ -651,7 +633,7 @@ def evolve(
                             f"norm drifted to {norm} at step {step}; reduce the step size"
                         )
         # Free this chunk's arrays before the next chunk builds its own.
-        del g, u, m, mats, blocks, left, right
+        del g, u, blocks, left, right
     left, right = _phase_factors(np.ones(1), last_u[None], sizes, half)
     psi = states[row] * (left[0] @ right[0]).reshape(-1).view(np.complex128) * u_half
     return _expand(psi, classes, n)
@@ -730,20 +712,30 @@ class StateDistribution:
         self.exact, self.shots, self.atom_labels = exact, shots, atom_labels
         return self
 
+    def _table(self) -> dict[str, float]:
+        return dict(zip(_bitstrings(self._index, self._width), self._values.tolist()))
+
     @functools.cached_property
     def probabilities(self) -> dict[str, float]:
         """The table: bitstring -> probability, in bitstring order."""
-        return dict(zip(_bitstrings(self._index, self._width), self._values.tolist()))
-
-    def _fields(self) -> tuple:
-        return self.probabilities, self.exact, self.shots, self.atom_labels
+        return self._table()
 
     def __eq__(self, other) -> bool:
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+        """Compares the arrays and fields, not ``probabilities``: callers can change that dict."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self._width, self.exact, self.shots, self.atom_labels)
+            == (other._width, other.exact, other.shots, other.atom_labels)
+            and np.array_equal(self._index, other._index)
+            and np.array_equal(self._values, other._values)
+        )
 
     def __repr__(self) -> str:
-        fields = "probabilities={!r}, exact={!r}, shots={!r}, atom_labels={!r}".format(*self._fields())
-        return f"StateDistribution({fields})"
+        return (
+            f"StateDistribution(probabilities={self._table()!r}, exact={self.exact!r}, "
+            f"shots={self.shots!r}, atom_labels={self.atom_labels!r})"
+        )
 
     def _keys(self, pos: np.ndarray) -> list[str]:
         """The bitstrings at positions ``pos`` of the bitstring order."""
