@@ -44,7 +44,6 @@ from .compiler import (
 from .solver import (
     CertificateReport,
     certify_equivalence,
-    enumerate_ground_configs,
     mwis_expand,
 )
 from .geometry import (

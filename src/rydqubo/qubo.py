@@ -3,9 +3,13 @@
 Variables are 0-indexed integers in [0, n) throughout the Python API.
 The JSON interchange format uses 1-based indices (see :func:`qubo_from_dict`).
 
-Bit configurations of variables and atoms alike are owned here:
-:func:`check_assignment` is their one reader and ``_assignment_from_index``
-their one index-to-bits converter, bit k of the index giving entry k.
+Bit configurations are read in two orders.  Here, and in the solver's
+independent-set masks, an index is LSB-first: bit k gives variable or atom
+k.  :func:`check_assignment` reads a variable assignment or a configuration
+to decode, and ``_assignment_from_index`` converts such an index to bits.
+The simulator's state index and measured bitstrings are MSB-first, atom k
+being bit n-1-k, so the bitstring reads in atom order: ``sim._bitstrings``
+formats them and ``sim.StateDistribution`` parses them itself.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ uncoupled; ideal-blockade data copies and offsets are twins, while van der
 Waals mode, which couples every pair, and unequal weights never make any.
 The Hamiltonian is exchange-symmetric within a class and |0...0> is
 symmetric, so a class of k atoms is one (k+1)-level axis that counts its
-excited atoms m in the normalised Dicke basis.  Its rotation is the
-symmetric power of the atoms' 2x2 rotation and two classes interact through
-U m_c m_d.  At the end the state is expanded to all 2^n bitstrings,
-psi(bits) = psi_red(m) / sqrt(prod_c C(k_c, m_c)).  When no atom has a twin
-the reduced basis is the bitstring basis and the expansion is the identity.
+excited atoms m in the normalised Dicke basis; m broadcasts along that axis
+(``np.ix_``) wherever a count is needed.  Its rotation is the symmetric
+power of the atoms' 2x2 rotation and two classes interact through U m_c m_d.
+At the end the state is expanded to all 2^n bitstrings, psi(bits) =
+psi_red(m) / sqrt(prod_c C(k_c, m_c)).  When no atom has a twin the reduced
+basis is the bitstring basis and the expansion is the identity.
 
 Each atom's rotation factors as R = g diag(1, u) M diag(1, u), with g and u
 unit phases and M real orthogonal (see ``_rotation_factors``), so a class of
@@ -41,7 +42,9 @@ schedule once, on the array of its stage midpoints, then builds the
 rotation factors, one real product per block and two phase factors per
 stage in one vectorised pass; it holds at most ``2 * _CHUNK_BYTES`` at its
 build peak.  The stage diagonals are built from the phase factors a few
-steps at a time, so the loop over stages only multiplies.
+steps at a time, so the loop over stages only multiplies.  Besides the
+chunk a sweep holds 136 bytes per amplitude, 48 of them the table of a
+step's three interaction phases (see README's "Simulator notes").
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
@@ -258,25 +261,20 @@ def _twin_classes(spec: HamiltonianSpec) -> list[list[int]]:
     return list(classes.values())
 
 
-def _class_counts(classes: Sequence[Sequence[int]]) -> np.ndarray:
-    """Excited atoms m_c of every class-axis basis state, class 0 leading; shape (classes, basis)."""
-    # int16 is a quarter of int64's memory and holds m_c m_d for classes of up to 181 atoms.
-    return np.indices([len(members) + 1 for members in classes], dtype=np.int16).reshape(len(classes), -1)
-
-
 def _interaction_energy(spec: HamiltonianSpec, classes: Sequence[Sequence[int]]) -> np.ndarray:
-    """Interaction energy sum U_cd m_c m_d of every basis state of the class axes.
+    """Interaction energy sum U_cd m_c m_d of every basis state of the class axes, flattened.
 
-    Twins share their coupling rows, so the couplings between the first atoms
-    of two classes are those of every cross pair.
+    Each m_c broadcasts along its class's axis.  Twins share their coupling
+    rows, so the couplings between the first atoms of two classes are those
+    of every cross pair.
     """
     first = {members[0]: c for c, members in enumerate(classes)}
-    counts = _class_counts(classes)
-    interaction = np.zeros(counts.shape[1])
+    counts = np.ix_(*(np.arange(len(members) + 1) for members in classes))
+    interaction = np.zeros([len(members) + 1 for members in classes])
     for a, b, u in spec.couplings:
         if a in first and b in first:
             interaction += u * (counts[first[a]] * counts[first[b]])
-    return interaction
+    return interaction.reshape(-1)
 
 
 def _rotation_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,16 +426,17 @@ def _expand(psi: np.ndarray, classes: Sequence[Sequence[int]], n: int) -> np.nda
     """The 2^n bitstring amplitudes of a state on the class axes.
 
     Bitstring amplitude = psi(m) / sqrt(prod_c C(k_c, m_c)), m_c the excited
-    atoms of class c.
+    atoms of class c; each class's divisor broadcasts along its axis, as
+    each atom's stride does along its bit axis in the index.
     """
     dims = [len(members) + 1 for members in classes]
-    scale = np.ones(len(psi))
-    for dim, m in zip(dims, _class_counts(classes)):
-        scale /= np.sqrt([math.comb(dim - 1, j) for j in range(dim)])[m]
+    scale = np.ones(dims)
+    for roots in np.ix_(*(np.sqrt([math.comb(dim - 1, j) for j in range(dim)]) for dim in dims)):
+        scale /= roots
     # Class-axis index of every bitstring, atom 0 the most significant bit.
     stride = {atom: math.prod(dims[c + 1:]) for c, members in enumerate(classes) for atom in members}
     index = sum(np.ix_(*([0, stride[atom]] for atom in range(n)))).reshape(-1)
-    return (psi * scale)[index]
+    return (psi * scale.reshape(-1))[index]
 
 
 def _block_views(work: np.ndarray, dims: Sequence[int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -555,19 +554,17 @@ def evolve(
 
     h = total / steps
     d1, d2, d3 = _W1 * h, _W0 * h, _W1 * h
-    # The interaction and the stage durations are fixed, so the interaction
-    # phases are precomputed: half a first stage, the middle of a step
-    # (d1 + d2)/2 = (d2 + d3)/2, and a step boundary d3/2 + d1/2 = d1.
-    # Finite couplings can still sum past the float range; that is refused
-    # before numpy warns.
+    # One table holds the interaction phase V of each stage boundary of a
+    # step: d3/2 + d1/2 = d1, then (d1 + d2)/2 = (d2 + d3)/2 twice.  The sweep
+    # opens with V(d1/2), which equals V(d1) on |0...0>.  Finite couplings can
+    # still sum past the float range; that is refused before numpy warns.
     with np.errstate(over="ignore", invalid="ignore"):
         interaction = _interaction_energy(spec, classes)
-        phases = [-1j * _TWO_PI * (d / 2.0) * interaction for d in (d1, d1 + d2, 2.0 * d1)]
-    if not all(np.isfinite(phase).all() for phase in phases):
+        step_phases = np.multiply.outer(
+            [-1j * _TWO_PI * d for d in (d1, (d1 + d2) / 2, (d1 + d2) / 2)], interaction)
+    if not np.isfinite(step_phases).all():
         raise InputError("the interaction energy or a stage's phase is not finite; the couplings are too large")
-    u_half, u_merged, u_step = (np.exp(phase, out=phase) for phase in phases)
-    # The sweep opens with u_half, but on |0...0> that equals u_step: both are 1.
-    step_phases = np.stack((u_step, u_merged, u_merged))
+    np.exp(step_phases, out=step_phases)
 
     # Until something loads logging no handler exists to take the record, so
     # the package never loads it itself.
@@ -635,7 +632,8 @@ def evolve(
         # Free this chunk's arrays before the next chunk builds its own.
         del g, u, blocks, left, right
     left, right = _phase_factors(np.ones(1), last_u[None], sizes, half)
-    psi = states[row] * (left[0] @ right[0]).reshape(-1).view(np.complex128) * u_half
+    psi = states[row] * (left[0] @ right[0]).reshape(-1).view(np.complex128)
+    psi *= np.exp(-1j * _TWO_PI * (d1 / 2.0) * interaction)
     return _expand(psi, classes, n)
 
 

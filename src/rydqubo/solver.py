@@ -25,7 +25,9 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .compiler import AtomGraph, DataCopy, _bits, try_decode  # noqa: F401 (re-export)
+# try_decode, unused here, and enumerate_ground_configs stay reachable as
+# solver attributes: bench/spans.py's PATCHES wraps both by name.
+from .compiler import AtomGraph, DataCopy, _bits, try_decode  # noqa: F401
 from .errors import CapExceeded, InputError, require_int
 from .qubo import Assignment, DEFAULT_BRUTE_FORCE_CAP, QuboInstance, brute_force_minima
 from .qubo import _assignment_from_index

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "SimulationError", "StateDistribution", "ValidationReport", "WireAtom", "WireDescriptor",
     "WireLengthPolicy", "af_predicate", "blockade_radius", "brute_force_minima", "build_hamiltonian",
     "builtin_names", "certify_equivalence", "compile_qubo", "compiler",
-    "enumerate_ground_configs", "errors", "evaluate", "evolve", "geometry", "graph_from_dict",
+    "errors", "evaluate", "evolve", "geometry", "graph_from_dict",
     "graph_to_dict", "layout_from_csv", "layout_from_dict",
     "load_builtin_layout", "measure_distribution", "mwis_expand", "normalize_to_integers",
     "pair_interaction", "planned_atom_count", "postselect", "qubo", "qubo_from_dict", "qubo_to_dict",

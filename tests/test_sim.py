@@ -706,9 +706,25 @@ class TestRotationKernel:
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 6.3 MiB measured on G7 (numpy 2.4); the bound leaves about 1.7 MiB of margin.
-        assert peaks[4000] <= 8 * 2**20
+        # 5.5 MiB measured on G7 (numpy 2.4); the bound leaves about 0.5 MiB of margin.
+        assert peaks[4000] <= 6 * 2**20
         assert abs(peaks[4000] - peaks[400]) <= 2**20
+
+    def test_peak_memory_of_a_sweep_at_the_default_cap(self):
+        # A twin-free 16-atom chain sweeps all 65,536 amplitudes.  Besides a
+        # chunk of at most 4 MiB it holds 136 bytes per amplitude, 8.5 MiB.
+        spec = HamiltonianSpec(n=16, couplings=tuple((k, k + 1, 50.0) for k in range(15)))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for steps in (20, 400):
+                tracemalloc.reset_peak()
+                evolve(spec, PulseSchedule(), steps=steps)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 12.6 MiB measured at both step counts (numpy 2.4).
+        assert max(peaks.values()) <= 13.5 * 2**20
 
 
 BUNDLED = ["G1", "G2", "G3", "G4", "G5P", "G6P", "G_LNK", "G_NOT", "G7"]
