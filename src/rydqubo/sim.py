@@ -39,12 +39,18 @@ blocks do half the flops of complex ones; the changed order of
 floating-point sums moves CSV probabilities in about the 12th significant
 digit.  The sweep runs in chunks of steps.  Each chunk evaluates the
 schedule once, on the array of its stage midpoints, then builds the
-rotation factors, one real product per block and two phase factors per
-stage in one vectorised pass; it holds at most ``2 * _CHUNK_BYTES`` at its
-build peak.  The stage diagonals are built from the phase factors a few
-steps at a time, so the loop over stages only multiplies.  Besides the
-chunk a sweep holds 136 bytes per amplitude, 48 of them the table of a
-step's three interaction phases (see README's "Simulator notes").
+rotation factors, the real block products and two phase factors per stage
+in one vectorised pass; it holds at most ``2 * _CHUNK_BYTES`` at its build
+peak.  A class's kind is its atom count and detuning weight, and a block's
+signature the tuple of its classes' kinds: the rotation factors are built
+once per distinct weight, each Sym_k(M) and each class's phase powers once
+per kind, and each Kronecker product once per signature, with the stage
+axis innermost, so blocks of one signature share one array.  The stage
+diagonals are built from the phase factors a few steps at a time, so the
+loop over stages only multiplies.  Besides the chunk a sweep holds 136
+bytes per amplitude, 48 of them the table of a step's three interaction
+phases, and frees all of it but the state before the expansion to 2^n
+(see README's "Simulator notes").
 
 Bit order: atom k maps to character k of the measured bitstring; internally
 that is bit (n-1-k) of the state index, so ``format(index, f"0{n}b")`` reads
@@ -322,11 +328,11 @@ def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
     """R^(x)k on the normalised Dicke states of k atoms, per stage.
 
     ``rot`` has shape (stages, 2, 2) and is symmetric; the result has shape
-    (stages, k+1, k+1), is symmetric too and has ``rot``'s dtype.  Each of
-    the k-j ground atoms of a state with j excited atoms goes to r00 + r10 t
-    and each excited atom to r01 + r11 t, t marking an excited atom, so entry
-    (i, j) is sqrt(C(k,j)/C(k,i)) times the coefficient of t^i in
-    (r00 + r10 t)^(k-j) (r01 + r11 t)^j.
+    (k+1, k+1, stages), stages innermost, is symmetric in its first two axes
+    and has ``rot``'s dtype.  Each of the k-j ground atoms of a state with j
+    excited atoms goes to r00 + r10 t and each excited atom to r01 + r11 t,
+    t marking an excited atom, so entry (i, j) is sqrt(C(k,j)/C(k,i)) times
+    the coefficient of t^i in (r00 + r10 t)^(k-j) (r01 + r11 t)^j.
     """
     # poly[i, j] is the t^i coefficient of column j's product so far, per
     # stage (the last axis, so every pass runs over contiguous stages).
@@ -341,7 +347,7 @@ def _symmetric_power(rot: np.ndarray, k: int) -> np.ndarray:
         poly[1:] += carry
     comb = np.array([math.comb(k, m) for m in range(k + 1)], dtype=float)
     poly *= np.sqrt(comb / comb[:, None])[:, :, None]
-    return np.ascontiguousarray(poly.transpose(2, 0, 1))
+    return poly
 
 
 def _block_split(sizes: Sequence[int]) -> list[int]:
@@ -367,15 +373,16 @@ def _block_split(sizes: Sequence[int]) -> list[int]:
 def _kron_stages(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of per-stage matrices, per stage.
 
-    Each array has shape (stages, d, d); the result has shape
-    (stages, D, D), D the product of the d, with the first array as the
-    most significant axis, matching the state's axes.
+    Each array has shape (d, d, stages), stages innermost, so every product
+    runs over contiguous stages; the result has shape (stages, D, D), D the
+    product of the d, with the first array as the most significant axis,
+    matching the state's axes.
     """
     out = mats[0]
     for mat in mats[1:]:
-        m = out.shape[1] * mat.shape[1]
-        out = (out[:, :, None, :, None] * mat[:, None, :, None, :]).reshape(-1, m, m)
-    return out
+        dim = len(out) * len(mat)
+        out = (out[:, None, :, None] * mat[None, :, None, :]).reshape(dim, dim, -1)
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _times_identity(block: np.ndarray) -> np.ndarray:
@@ -387,26 +394,29 @@ def _times_identity(block: np.ndarray) -> np.ndarray:
 
 
 def _phase_factors(
-    scale: np.ndarray, ratio: np.ndarray, sizes: Sequence[int], half: int
+    scale: np.ndarray, ratio: np.ndarray, kinds: Sequence[tuple[int, int]], half: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real factors of the diagonal scale[s] prod_c ratio[s, c]^m_c, per stage.
+    """Real factors of the diagonal scale[s] prod_c ratio[s, w_c]^m_c, per stage.
 
-    ``scale`` has shape (stages,) and ``ratio`` (stages, classes), class c
-    having ``sizes[c]`` atoms.  Classes before ``half`` fold into a complex
-    ``lead`` and the others into ``trail``, so the diagonal is their outer
-    product, in the state's order.  Returns it as the real matrix product
-    ``left @ right``: ``left[s, i]`` = (Re, Im) of lead[s, i] and
-    ``right[s]`` holds trail[s] and i trail[s], each as interleaved real and
-    imaginary parts, so the product views as the complex diagonal.  A
-    matrix product writes it faster than a broadcast complex product.
+    ``scale`` has shape (stages,) and ``ratio`` (stages, weights); class c
+    is of kind ``kinds[c]`` = (k_c, w_c), k_c atoms of weight column w_c.
+    The powers of each kind, of shape (stages, k+1), are built once.
+    Classes before ``half`` fold into a complex ``lead`` and the others into
+    ``trail``, stages first, so the diagonal is their outer product, in the
+    state's order.  Returns it as the real matrix product ``left @ right``:
+    ``left[s, i]`` = (Re, Im) of lead[s, i] and ``right[s]`` holds trail[s]
+    and i trail[s], each as interleaved real and imaginary parts, so the
+    product views as the complex diagonal.  A matrix product writes it
+    faster than a broadcast complex product.
     """
     stages = len(scale)
-    factors = [scale[:, None]]
-    for c, k in enumerate(sizes):
-        powers = np.empty((stages, k + 1), dtype=np.complex128)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = ratio[:, c, None]
-        factors.append(np.cumprod(powers, axis=1, out=powers))
+    powers = {}
+    for k, w in dict.fromkeys(kinds):
+        power = np.empty((stages, k + 1), dtype=np.complex128)
+        power[:, 0] = 1.0
+        power[:, 1:] = ratio[:, w, None]
+        powers[k, w] = np.cumprod(power, axis=1, out=power)
+    factors = [scale[:, None]] + [powers[kind] for kind in kinds]
     lead, trail = factors[:half + 1], [np.ones((stages, 1), dtype=np.complex128)] + factors[half + 1:]
     for part in (lead, trail):
         while len(part) > 1:
@@ -531,10 +541,16 @@ def evolve(
     steps = require_int(steps, "steps", 1)
 
     # Twins share one class axis; a block's real factor is its classes' Kronecker product.
+    # A class's kind is its atom count and the column of its weight among the
+    # distinct weights; a block's signature is the tuple of its classes' kinds.
     classes = _twin_classes(spec)
     sizes = [len(members) for members in classes]
-    weights = np.array([spec.detuning_weights[members[0]] for members in classes])
+    class_weights = [spec.detuning_weights[members[0]] for members in classes]
+    weights = list(dict.fromkeys(class_weights))
+    column = [weights.index(w) for w in class_weights]
+    kinds = list(zip(sizes, column))
     bounds = list(pairwise(accumulate(_block_split(sizes), initial=0)))
+    signatures = [tuple(kinds[a:b]) for a, b in bounds]
     block_dims = [math.prod(k + 1 for k in sizes[a:b]) for a, b in bounds]
     dims = [k + 1 for k in sizes]
     basis = math.prod(dims)
@@ -588,8 +604,8 @@ def evolve(
     # D_s = prod_c u_c^m_c a diagonal and K_s the real blocks.  Between two
     # stages D, the interaction phase and D of the next stage merge into one
     # diagonal, which also takes the next stage's G; ``last_u`` holds the
-    # previous stage's u per class, and the sweep closes with its D.
-    last_u = np.ones(len(sizes), dtype=np.complex128)
+    # previous stage's u per distinct weight, and the sweep closes with its D.
+    last_u = np.ones(len(weights), dtype=np.complex128)
     check_every = max(1, steps // 40)
     for begin in range(0, steps, chunk):
         end = min(begin + chunk, steps)
@@ -598,18 +614,25 @@ def evolve(
         times = np.stack((t0 + 0.5 * d1, t0 + d1 + 0.5 * d2, t0 + d1 + d2 + 0.5 * d3), 1).ravel()
         durations = np.tile((d1, d2, d3), end - begin)
         omega, delta = _schedule_values(schedule, times)
-        # Finite values can still overflow an angle, which _rotation_factors refuses.
+        # Finite values can still overflow an angle, which _rotation_factors
+        # refuses.  Blocks of one signature share one array.
         with np.errstate(over="ignore", invalid="ignore"):
             g, u, m = _rotation_factors(
                 (math.pi * omega * durations)[:, None],
                 np.multiply.outer(math.pi * delta, weights) * durations[:, None],
             )
-        blocks = [_kron_stages([_symmetric_power(m[:, c], sizes[c]) for c in range(a, b)]) for a, b in bounds]
-        blocks[-1] = _times_identity(blocks[-1])
+        powers = {kind: _symmetric_power(m[:, kind[1]], kind[0]) for kind in dict.fromkeys(kinds)}
         del m
+        products = {sig: _kron_stages([powers[kind] for kind in sig]) for sig in dict.fromkeys(signatures)}
+        del powers
+        blocks = [products[sig] for sig in signatures]
+        blocks[-1] = _times_identity(blocks[-1])
+        del products
         ratio = u * np.concatenate((last_u[None], u[:-1]))
         last_u = u[-1].copy()
-        left, right = _phase_factors(np.prod(g ** np.array(sizes), axis=1), ratio, sizes, half)
+        # A C-ordered (stages, classes) gather keeps np.prod's order of products.
+        scale = np.prod(np.take(g, column, axis=1) ** np.array(sizes), axis=1)
+        left, right = _phase_factors(scale, ratio, kinds, half)
         for first in range(begin, end, batch):
             # Stage rows [lo, hi) of this chunk, whole steps.
             lo, hi = 3 * (first - begin), 3 * (min(first + batch, end) - begin)
@@ -630,9 +653,11 @@ def evolve(
                             f"norm drifted to {norm} at step {step}; reduce the step size"
                         )
         # Free this chunk's arrays before the next chunk builds its own.
-        del g, u, blocks, left, right
-    left, right = _phase_factors(np.ones(1), last_u[None], sizes, half)
+        del g, u, scale, blocks, left, right
+    left, right = _phase_factors(np.ones(1), last_u[None], kinds, half)
     psi = states[row] * (left[0] @ right[0]).reshape(-1).view(np.complex128)
+    # Free the sweep's arrays before _expand builds the 2^n result.
+    del work, states, views, buffer, diagonals, target, step_phases
     psi *= np.exp(-1j * _TWO_PI * (d1 / 2.0) * interaction)
     return _expand(psi, classes, n)
 
@@ -824,29 +849,48 @@ def sample_distribution(dist: StateDistribution, shots: int, seed: int = 0) -> S
 def postselect(
     dist: StateDistribution, predicate: Callable[[str], bool]
 ) -> StateDistribution:
-    """Drop outcomes failing ``predicate`` and renormalise the rest."""
-    keep = np.array([bool(predicate(bs)) for bs in _bitstrings(dist._index, dist._width)], dtype=bool)
+    """Drop outcomes failing ``predicate`` and renormalise the rest.
+
+    A predicate from ``af_predicate`` of the distribution's width is
+    evaluated by bit tests on the whole index at once; any other predicate
+    is called once per outcome, on its bitstring.
+    """
+    index, width = dist._index, dist._width
+    if isinstance(predicate, _AfPredicate) and predicate.atoms == width:
+        # Atom k is bit width-1-k of the index.
+        keep = np.ones(len(index), dtype=bool)
+        for a, b in predicate.pairs:
+            keep &= ((index >> (width - 1 - a)) ^ (index >> (width - 1 - b))) & 1 == 1
+    else:
+        keep = np.array([bool(predicate(bs)) for bs in _bitstrings(index, width)], dtype=bool)
     kept = dist._values[keep]
     mass = sum(kept.tolist())
     if mass <= 0.0:
         raise EmptySelection("post-selection removed all probability mass")
     return StateDistribution.__new__(StateDistribution)._fill(
-        dist._index[keep], kept / mass, dist._width, dist.exact, None, dist.atom_labels)
+        index[keep], kept / mass, width, dist.exact, None, dist.atom_labels)
+
+
+@dataclass(frozen=True)
+class _AfPredicate:
+    """The alternation filter of ``af_predicate``: its constrained pairs and its atom count."""
+
+    pairs: tuple[tuple[int, int], ...]
+    atoms: int
+
+    def __call__(self, config: Sequence[int] | str) -> bool:
+        if len(config) != self.atoms:
+            raise InputError(f"configuration {config!r} does not have {self.atoms} entries")
+        return all(config[a] != config[b] for a, b in self.pairs)
 
 
 def af_predicate(graph: AtomGraph) -> Callable[[Sequence[int] | str], bool]:
     """Alternation filter: every constrained pair must hold opposite bits.
 
     The predicate takes a bitstring or a bit sequence and checks its length
-    only, to keep ``postselect`` over 2^n outcomes cheap.  Graphs without
-    constraint atoms yield an always-true predicate.
+    only, to keep it cheap over 2^n outcomes; it exposes its ``pairs`` and
+    its atom count ``atoms``, so ``postselect`` tests the pairs' bits on the
+    whole index at once.  Graphs without constraint atoms yield an
+    always-true predicate.
     """
-    pairs = graph.af_pairs()
-    n = graph.atom_count
-
-    def predicate(config: Sequence[int] | str) -> bool:
-        if len(config) != n:
-            raise InputError(f"configuration {config!r} does not have {n} entries")
-        return all(config[a] != config[b] for a, b in pairs)
-
-    return predicate
+    return _AfPredicate(graph.af_pairs(), graph.atom_count)
